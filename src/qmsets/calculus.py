@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .attributes import Attribute, is_csca, value_sort_key
+from .attributes import Attribute, is_csca
 from .errors import BasisError, EmptyStateError, QmSetsError
 from .gf2 import (
     LinearMap,
@@ -68,17 +68,8 @@ def ketbra_resolve(t: SetKet, s: SetKet) -> KetBraResolution:
     """Sum over u of <T|{u}><{u}|S>, with the singleton resolution of S."""
     tt = _require_standard(t)
     ss = _require_standard(s)
-    universe = s.universe
-    total = 0
-    resolution = []
-    for u in universe:
-        term = (1 if u in tt else 0) * (1 if u in ss else 0)
-        total += term
-    for u in universe:
-        if u in ss:
-            resolution.append(standard_ket(universe, [u]))
-    assert total == len(tt & ss)
-    return KetBraResolution(total, tuple(resolution))
+    resolution = tuple(standard_ket(s.universe, [u]) for u in s.universe if u in ss)
+    return KetBraResolution(len(tt & ss), resolution)
 
 
 @dataclass(frozen=True)
@@ -301,7 +292,8 @@ def csca_measure(
         steps.append(step)
         state = step.post_state
     record = MeasurementRecord(seed, tuple(steps))
-    assert len(record.final_state.to_subset()) == 1
+    if len(record.final_state.to_subset()) != 1:
+        raise QmSetsError("CSCA cascade did not end in a singleton state")
     return record
 
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import calculus, universe as up
-from .attributes import inverse_image_partition, join_attributes
+from .attributes import inverse_image_partition
 from .errors import QmSetsError, ScenarioError
 from .gf2 import ket_table
 from .group_action import orbit_partition
@@ -28,7 +30,6 @@ from .universe import (
     SetPartition,
     Universe,
     enumerate_partitions,
-    refines,
 )
 
 FORMATS = ("text", "csv", "json")
@@ -75,18 +76,16 @@ def lattice_render(
     for rank in sorted(by_rank, reverse=True):
         row = sorted(by_rank[rank], key=str)
         lines.append(f"rank {rank}: " + "  ".join(str(p) for p in row))
-    # Covering pairs: p strictly finer than q with nothing strictly between.
-    edges = []
-    for p in partitions:
-        for q in partitions:
-            if p == q or not refines(p, q):
-                continue
-            if any(
-                r != p and r != q and refines(p, r) and refines(r, q)
-                for r in partitions
-            ):
-                continue
-            edges.append((str(p), str(q)))
+    # q covers p exactly when q merges two blocks of p.
+    edges = [
+        (str(p), str(SetPartition.from_blocks(
+            universe,
+            [b for k, b in enumerate(p.blocks) if k not in (i, j)]
+            + [p.blocks[i] + p.blocks[j]],
+        )))
+        for p in partitions
+        for i, j in combinations(range(len(p.blocks)), 2)
+    ]
     lines.append("edges:")
     for fine, coarse in sorted(edges):
         lines.append(f"  {fine} -> {coarse}")
@@ -290,7 +289,7 @@ def run_scenario(
 ) -> tuple[str, dict[str, str]]:
     """Execute all commands; return (stdout text, {path: file output})."""
     if seed_override is not None:
-        scenario.seed = seed_override
+        scenario = dataclasses.replace(scenario, seed=seed_override)
     runner = _Runner(scenario, fmt, paper_order, bound)
     for cmd in scenario.commands:
         try:

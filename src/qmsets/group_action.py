@@ -6,12 +6,12 @@ matching the diagram U -t-> U -s-> U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BoundError, CompatibilityError, GroupError, QmSetsError
 from .gf2 import SetKet
-from .universe import SetPartition, Universe, discrete
+from .universe import SetPartition, Universe
 
 DEFAULT_CLOSURE_BOUND = 10080
 
@@ -118,7 +118,8 @@ def generate_group(
     universe: Universe | None = None,
     bound: int = DEFAULT_CLOSURE_BOUND,
 ) -> TransformationGroup:
-    """Smallest group containing the generators, by breadth-first closure."""
+    """Smallest group containing the generators, by breadth-first closure
+    under products with them (a finite monoid of permutations is a group)."""
     if universe is None:
         if not generators:
             raise QmSetsError("generate_group needs a universe when generators are empty")
@@ -126,14 +127,12 @@ def generate_group(
     for g in generators:
         if g.universe != universe:
             raise CompatibilityError("generators on different universes")
-    identity = Permutation.identity(universe)
-    elements: set[Permutation] = {identity}
-    frontier = [g for g in generators if g not in elements]
-    elements.update(frontier)
+    elements: set[Permutation] = {Permutation.identity(universe)}
+    frontier = list(elements)
     while frontier:
         new: list[Permutation] = []
         for t in frontier:
-            for g in list(generators) + [t.inverse()]:
+            for g in generators:
                 composed = t.compose(g)
                 if composed not in elements:
                     elements.add(composed)
@@ -156,27 +155,33 @@ def verify_group_axioms(g: TransformationGroup) -> AxiomReport:
             key=lambda t: t.images,
         )
     )
-    violations = []
-    for t in sorted(g.elements, key=lambda t: t.images):
-        for s in sorted(g.elements, key=lambda t: t.images):
-            if t.compose(s) not in g.elements:
-                violations.append((t, s))
+    ordered = sorted(g.elements, key=lambda t: t.images)
+    violations = [
+        (t, s) for t in ordered for s in ordered if t.compose(s) not in g.elements
+    ]
     return AxiomReport(has_identity, missing_inverses, tuple(violations))
 
 
 def orbit_partition(g: TransformationGroup) -> SetPartition:
-    """Partition of the universe into orbits {t(u) : t in G}."""
-    report = verify_group_axioms(g)
-    if not report.ok:
-        raise GroupError("not a group: axiom verification failed")
-    remaining = list(g.universe.elements)
-    blocks = []
-    while remaining:
-        u = remaining[0]
-        orbit = {t(u) for t in g.elements}
-        blocks.append(orbit)
-        remaining = [v for v in remaining if v not in orbit]
-    return SetPartition.from_blocks(g.universe, blocks)
+    """Partition of the universe into orbits {t(u) : t in G}.
+
+    G must be a group, that is, equal to the span of its elements.  Only
+    elements outside the span so far become generators: at most log2 |G|.
+    """
+    gens: list[Permutation] = []
+    span = frozenset([Permutation.identity(g.universe)])
+    try:
+        for t in sorted(g.elements, key=lambda t: t.images):
+            if t not in span:
+                gens.append(t)
+                span = generate_group(gens, g.universe, bound=len(g)).elements
+    except BoundError:
+        span = None
+    if span != g.elements:
+        raise GroupError("not a group: its elements generate a different set")
+    return SetPartition.from_blocks(
+        g.universe, {frozenset(t(u) for t in g) for u in g.universe}
+    )
 
 
 def is_invariant(g: TransformationGroup, s: SetKet) -> bool:

@@ -23,10 +23,10 @@ Grammar (one statement per line, ``#`` starts a comment):
     lattice U
     pythagoras P S
 
-Any command may end with ``to <path>`` to write its output to a file.
-Every referenced name must be declared on an earlier line; names are
-unique per kind; a seed is required when a sampling command (cascade)
-appears.
+Any command may end with ``to <path>`` to write its output to a file, each
+path at most once.  Every referenced name must be declared on an earlier
+line; names are unique per kind; a seed is required when a sampling command
+(cascade) appears.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ class _Parser:
             raise ScenarioError(f"seed must be an integer, got {parts[1]!r}", line)
         self.scenario.decl_lines.append(f"seed {self.scenario.seed}")
 
-    def _split_decl(self, text: str, line: int, link: str = "on"):
+    def _split_decl(self, text: str, line: int):
         # "<kind> <name> [on|in <univ>] = <body>"
         if "=" not in text:
             raise ScenarioError("declaration needs '='", line)
@@ -290,6 +290,8 @@ class _Parser:
         if len(tokens) >= 2 and tokens[-2] == "to":
             destination = tokens[-1]
             tokens = tokens[:-2]
+            if any(c.destination == destination for c in sc.commands):
+                raise ScenarioError(f"output path {destination!r} used twice", line)
         if kind == "cascade":
             if "from" not in tokens:
                 raise ScenarioError("usage: cascade ATTR... from STATE", line)

@@ -224,9 +224,9 @@ def refines(p: SetPartition, q: SetPartition) -> bool:
 
 
 def logical_entropy(p: SetPartition) -> Fraction:
-    """Normalized counting measure of distinctions: |dit(p)| / |U|^2."""
+    """Logical entropy |dit(p)| / |U|^2, with |dit(p)| = |U|^2 - sum |B|^2."""
     n = len(p.universe)
-    return Fraction(len(dit(p)), n * n)
+    return Fraction(n * n - sum(len(b) ** 2 for b in p.blocks), n * n)
 
 
 def enumerate_partitions(

@@ -103,9 +103,19 @@ class TestOrbits:
         g = generate_group([perm(u3, "ab")])
         assert orbit_partition(g) == SetPartition.from_blocks(u3, ["ab", "c"])
 
-    def test_rejects_non_group(self, u3):
+    @pytest.mark.parametrize(
+        "cycles",
+        [
+            [(), ("abc",)],  # no inverse
+            [(), ("ab",), ("bc",)],  # identity and inverses, but not closed
+            [("ab",)],  # no identity
+            [],  # empty set
+        ],
+        ids=["no-inverse", "not-closed", "no-identity", "empty"],
+    )
+    def test_rejects_non_group(self, u3, cycles):
         broken = TransformationGroup(
-            u3, frozenset([Permutation.identity(u3), perm(u3, "abc")])
+            u3, frozenset(perm(u3, *c) for c in cycles)
         )
         with pytest.raises(GroupError):
             orbit_partition(broken)

@@ -87,6 +87,12 @@ class TestRunning:
         assert base.splitlines()[:5] == other.splitlines()[:5]
         assert "seed 43" in other
 
+    def test_seed_override_leaves_scenario_unchanged(self):
+        sc = parse_scenario(BASIC)
+        run_scenario(sc, seed_override=43)
+        assert sc.seed == 42
+        assert run_scenario(sc) == run_scenario(parse_scenario(BASIC))
+
     def test_cli_matches_library(self, u3):
         from qmsets import Attribute, logical_entropy, SetPartition
 
@@ -131,16 +137,18 @@ class TestLatticeRender:
         text = lattice_render(Universe.of("a"))
         assert text.splitlines()[0] == "rank 1: {a}"
 
-    def test_edges_are_covering_pairs(self, u3):
+    @pytest.mark.parametrize("labels", ["abc", "abcd"])
+    def test_edges_are_covering_pairs(self, labels):
         from qmsets import SetPartition, enumerate_partitions, refines
 
-        text = lattice_render(u3)
+        u = Universe.of(labels)
+        text = lattice_render(u)
         rendered_edges = {
             tuple(line.strip().split(" -> "))
             for line in text.splitlines()
             if " -> " in line
         }
-        parts = enumerate_partitions(u3)
+        parts = enumerate_partitions(u)
         brute = set()
         for p in parts:
             for q in parts:
@@ -153,6 +161,19 @@ class TestLatticeRender:
                     continue
                 brute.add((str(p), str(q)))
         assert rendered_edges == brute
+
+    def test_u7_counts(self):
+        from math import comb
+
+        lines = lattice_render(Universe.of("abcdefg"), bound=7).splitlines()
+        rank_sizes = {
+            int(line.split()[1].rstrip(":")): len(line.split(": ", 1)[1].split("  "))
+            for line in lines
+            if line.startswith("rank")
+        }
+        edges = [line for line in lines if " -> " in line]
+        assert sum(rank_sizes.values()) == 877
+        assert len(edges) == sum(comb(k, 2) * count for k, count in rank_sizes.items())
 
 
 class TestMainExitCodes:
@@ -178,6 +199,17 @@ class TestMainExitCodes:
         assert main([str(bad)]) == 3
         err = capsys.readouterr().err
         assert "distribution" in err
+
+    def test_duplicate_destination_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "dup.qms"
+        out = tmp_path / "out.txt"
+        bad.write_text(
+            "universe U = a b\npartition P on U = {a}|{b}\n"
+            f"entropy P to {out}\njoin P P to {out}\n"
+        )
+        assert main([str(bad)]) == 2
+        assert "line 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identical_runs_byte_identical(self, capsys):
         path = str(SCENARIO_DIR / "measurement.qms")
