@@ -25,7 +25,12 @@ from .gf2 import (
     standard_ket,
     to_basis,
 )
-from .universe import SetPartition, indiscrete, join as partition_join
+from .universe import (
+    SetPartition,
+    indiscrete,
+    join as partition_join,
+    require_same_universe,
+)
 
 
 def _require_standard(s: SetKet) -> frozenset[str]:
@@ -155,6 +160,7 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
     A state expressed in a non-standard basis is first re-expressed in the
     attribute's home basis (the standard basis of its universe).
     """
+    require_same_universe(f, s)
     if not s.basis.is_standard:
         s = to_basis(s, standard_basis(f.universe))
     subset = s.to_subset()
@@ -262,6 +268,7 @@ def measurement_join(f: Attribute, s: SetKet) -> MeasurementJoin:
 
 def pythagoras_check(p: SetPartition, s: SetKet) -> tuple[int, int]:
     """(|S|, sum over blocks of |B & S|); equal for every partition."""
+    require_same_universe(p, s)
     subset = _require_standard(s)
     left = len(subset)
     right = sum(len(set(b) & subset) for b in p.blocks)

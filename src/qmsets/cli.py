@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import calculus, universe as up
-from .attributes import inverse_image_partition
 from .errors import QmSetsError, ScenarioError
 from .gf2 import ket_table
 from .group_action import orbit_partition
@@ -121,17 +120,12 @@ class _Runner:
         else:
             self.emit(cmd, text)
 
-    def _partition_arg(self, name: str) -> SetPartition:
-        if name in self.sc.partitions:
-            return self.sc.partitions[name]
-        return inverse_image_partition(self.sc.attributes[name])
-
     def run_command(self, cmd: Command) -> None:
         handler = getattr(self, "_cmd_" + cmd.kind.replace("-", "_"))
         handler(cmd)
 
     def _cmd_ket_table(self, cmd: Command) -> None:
-        bases = [self.sc.resolve_basis(name, cmd.line) for name in cmd.args]
+        bases = cmd.values
         kwargs = {"paper_order": self.paper_order}
         if self.bound is not None:
             kwargs["bound"] = self.bound
@@ -143,52 +137,46 @@ class _Runner:
         record = {
             "command": "ket-table",
             "bases": [b.name for b in bases],
-            "rows": [[sorted(k.sorted_coords()) for k in row] for row in rows],
+            "rows": [[list(k.sorted_coords()) for k in row] for row in rows],
         }
         self.table(cmd, "", cells, record)
 
-    def _distribution_rows(self, dist: calculus.OutcomeDistribution):
+    def _outcome_table(
+        self, cmd: Command, title: str, dist: calculus.OutcomeDistribution, **names: str
+    ) -> None:
         rows = [["value", "probability", "decimal", "collapsed"]]
         for o in dist.outcomes:
             rows.append(
                 [o.value, _fraction_str(o.probability), _decimal_str(o.probability), str(o.collapsed)]
             )
-        return rows
+        record = {
+            "command": cmd.kind,
+            **names,
+            "outcomes": [
+                {"value": o.value, "probability": _fraction_str(o.probability),
+                 "collapsed": sorted(o.collapsed.to_subset())}
+                for o in dist.outcomes
+            ],
+        }
+        self.table(cmd, title, rows, record)
 
     def _cmd_distribution(self, cmd: Command) -> None:
-        state = self.sc.states[cmd.args[0]]
-        dist = calculus.born_distribution(state)
-        rows = self._distribution_rows(dist)
-        record = {
-            "command": "distribution",
-            "state": cmd.args[0],
-            "outcomes": [
-                {"value": o.value, "probability": _fraction_str(o.probability),
-                 "collapsed": sorted(o.collapsed.to_subset())}
-                for o in dist.outcomes
-            ],
-        }
-        self.table(cmd, f"born {cmd.args[0]} = {state}", rows, record)
+        (state,) = cmd.values
+        self._outcome_table(
+            cmd, f"born {cmd.args[0]} = {state}", calculus.born_distribution(state),
+            state=cmd.args[0],
+        )
 
     def _cmd_measure(self, cmd: Command) -> None:
-        attr = self.sc.attributes[cmd.args[0]]
-        state = self.sc.states[cmd.args[1]]
-        dist = calculus.measure_distribution(attr, state)
-        rows = self._distribution_rows(dist)
-        record = {
-            "command": "measure",
-            "attribute": cmd.args[0],
-            "state": cmd.args[1],
-            "outcomes": [
-                {"value": o.value, "probability": _fraction_str(o.probability),
-                 "collapsed": sorted(o.collapsed.to_subset())}
-                for o in dist.outcomes
-            ],
-        }
-        self.table(cmd, f"measure {cmd.args[0]} {cmd.args[1]} = {state}", rows, record)
+        attr, state = cmd.values
+        self._outcome_table(
+            cmd, f"measure {cmd.args[0]} {cmd.args[1]} = {state}",
+            calculus.measure_distribution(attr, state),
+            attribute=cmd.args[0], state=cmd.args[1],
+        )
 
     def _cmd_entropy(self, cmd: Command) -> None:
-        part = self._partition_arg(cmd.args[0])
+        (part,) = cmd.values
         h = up.logical_entropy(part)
         self.line(
             cmd,
@@ -198,7 +186,7 @@ class _Runner:
         )
 
     def _cmd_join(self, cmd: Command) -> None:
-        joined = up.join(self._partition_arg(cmd.args[0]), self._partition_arg(cmd.args[1]))
+        joined = up.join(*cmd.values)
         self.line(
             cmd,
             f"join {cmd.args[0]} {cmd.args[1]} = {joined}",
@@ -206,7 +194,7 @@ class _Runner:
         )
 
     def _cmd_orbits(self, cmd: Command) -> None:
-        group = self.sc.groups[cmd.args[0]]
+        (group,) = cmd.values
         part = orbit_partition(group)
         self.line(
             cmd,
@@ -216,8 +204,7 @@ class _Runner:
         )
 
     def _cmd_evolve(self, cmd: Command) -> None:
-        m = self.sc.maps[cmd.args[0]]
-        state = self.sc.states[cmd.args[1]]
+        m, state = cmd.values
         result = calculus.evolve(m, state)
         self.line(
             cmd,
@@ -228,8 +215,7 @@ class _Runner:
 
     def _cmd_cascade(self, cmd: Command) -> None:
         *attr_names, state_name = cmd.args
-        attrs = [self.sc.attributes[a] for a in attr_names]
-        state = self.sc.states[state_name]
+        *attrs, state = cmd.values
         record = calculus.csca_measure(attrs, state, self.sc.seed)
         lines = [f"cascade {' '.join(attr_names)} from {state_name} (seed {self.sc.seed})"]
         for i, step in enumerate(record.steps):
@@ -257,7 +243,7 @@ class _Runner:
         )
 
     def _cmd_lattice(self, cmd: Command) -> None:
-        universe = self.sc.universes[cmd.args[0]]
+        (universe,) = cmd.values
         bound = self.bound if self.bound is not None else DEFAULT_ENUMERATION_BOUND
         text = lattice_render(universe, bound=bound)
         self.line(
@@ -267,8 +253,7 @@ class _Runner:
         )
 
     def _cmd_pythagoras(self, cmd: Command) -> None:
-        part = self._partition_arg(cmd.args[0])
-        state = self.sc.states[cmd.args[1]]
+        part, state = cmd.values
         left, right = calculus.pythagoras_check(part, state)
         terms = [len(set(b) & state.to_subset()) for b in part.blocks]
         self.line(

@@ -29,65 +29,53 @@ def bits_to_subset(universe: Universe, bits: int) -> frozenset[str]:
     )
 
 
-def gf2_rank(rows: Sequence[int], n_cols: int) -> int:
-    """Rank over GF(2) via Gaussian elimination on int bitsets."""
-    work = list(rows)
-    rank = 0
-    row_idx = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
+def _echelon(vectors: Sequence[int]) -> tuple[dict[int, tuple[int, int]], int | None]:
+    """Reduce each vector in turn against the rows found so far.
+
+    Returns the rows keyed by leading bit, each as (row, mask of the input
+    indices whose sum it is), and the index of the first vector that reduces
+    to zero (None when all are independent).
+    """
+    rows: dict[int, tuple[int, int]] = {}
+    first_dependent = None
+    for i, v in enumerate(vectors):
+        combo = 1 << i
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in rows:
+                rows[lead] = (v, combo)
                 break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(len(work)):
-            if r != row_idx and ((work[r] >> col) & 1):
-                work[r] ^= work[row_idx]
-        rank += 1
-        row_idx += 1
-        if row_idx == len(work):
-            break
-    return rank
+            row, row_combo = rows[lead]
+            v ^= row
+            combo ^= row_combo
+        else:
+            if first_dependent is None:
+                first_dependent = i
+    return rows, first_dependent
 
 
-def gf2_solve(columns: Sequence[int], target: int, n: int) -> int:
+def gf2_rank(vectors: Sequence[int]) -> int:
+    """Rank over GF(2) of int bitsets."""
+    return len(_echelon(vectors)[0])
+
+
+def gf2_solve(columns: Sequence[int], target: int) -> int:
     """Solve M x = target over GF(2) where column j of M is columns[j].
 
     Returns the solution as a bitmask of column indices.  Raises if the
     system is singular or inconsistent.
     """
-    # Build augmented rows: row i collects bit i of every column plus target.
-    rows = []
-    for i in range(n):
-        row = 0
-        for j, col in enumerate(columns):
-            if (col >> i) & 1:
-                row |= 1 << j
-        if (target >> i) & 1:
-            row |= 1 << n
-        rows.append(row)
-    row_idx = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row_idx, n):
-            if (rows[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            raise BasisError("singular system: columns are GF(2)-dependent")
-        rows[row_idx], rows[pivot] = rows[pivot], rows[row_idx]
-        for r in range(n):
-            if r != row_idx and ((rows[r] >> col) & 1):
-                rows[r] ^= rows[row_idx]
-        row_idx += 1
+    rows, dependent = _echelon(columns)
+    if dependent is not None:
+        raise BasisError("singular system: columns are GF(2)-dependent")
     solution = 0
-    for r in range(n):
-        pivot_col = (rows[r] & ((1 << n) - 1)).bit_length() - 1
-        if (rows[r] >> n) & 1:
-            solution |= 1 << pivot_col
+    while target:
+        lead = target.bit_length() - 1
+        if lead not in rows:
+            raise BasisError("inconsistent system: target is not in the column span")
+        row, combo = rows[lead]
+        target ^= row
+        solution ^= combo
     return solution
 
 
@@ -113,6 +101,12 @@ class Basis:
 
     def vector_bits(self) -> list[int]:
         return [subset_to_bits(self.universe, v) for v in self.vectors]
+
+    def coords_of(self, mask: int) -> frozenset[str]:
+        """The names of the vectors whose bits are set in a coordinate mask."""
+        return frozenset(
+            name for j, name in enumerate(self.vector_names) if (mask >> j) & 1
+        )
 
     def name_position(self, vector_name: str) -> int:
         try:
@@ -145,14 +139,13 @@ def check_basis(
         raise BasisError(
             f"basis {name!r} needs exactly {n} vectors, got {len(subsets)}"
         )
-    bits = [subset_to_bits(universe, v) for v in subsets]
-    for i in range(n):
-        if gf2_rank(bits[: i + 1], n) != i + 1:
-            witness = "{" + ",".join(sorted(subsets[i], key=universe.position)) + "}"
-            raise BasisError(
-                f"basis {name!r} is rank-deficient: vector {i} = {witness} "
-                f"is a GF(2) combination of earlier vectors"
-            )
+    _, i = _echelon([subset_to_bits(universe, v) for v in subsets])
+    if i is not None:
+        witness = "{" + ",".join(sorted(subsets[i], key=universe.position)) + "}"
+        raise BasisError(
+            f"basis {name!r} is rank-deficient: vector {i} = {witness} "
+            f"is a GF(2) combination of earlier vectors"
+        )
     if vector_names is None:
         vector_names = tuple(f"{name}{i}" for i in range(n))
     else:
@@ -177,14 +170,18 @@ class SetKet:
     def universe(self) -> Universe:
         return self.basis.universe
 
-    def to_subset(self) -> frozenset[str]:
-        """Expand to the standard-basis subset of U (XOR of basis vectors)."""
+    def _bits(self) -> int:
+        """The standard-basis subset of U as a bitmask (XOR of basis vectors)."""
         bits = 0
         for c in self.coords:
             bits ^= subset_to_bits(
                 self.universe, self.basis.vectors[self.basis.name_position(c)]
             )
-        return bits_to_subset(self.universe, bits)
+        return bits
+
+    def to_subset(self) -> frozenset[str]:
+        """Expand to the standard-basis subset of U (XOR of basis vectors)."""
+        return bits_to_subset(self.universe, self._bits())
 
     def sorted_coords(self) -> tuple[str, ...]:
         return tuple(sorted(self.coords, key=self.basis.name_position))
@@ -216,13 +213,7 @@ def to_basis(s: SetKet, target: Basis) -> SetKet:
         raise CompatibilityError("bases live on different universes")
     if s.basis == target:
         return s
-    n = len(s.universe)
-    target_bits = subset_to_bits(s.universe, s.to_subset())
-    solution = gf2_solve(target.vector_bits(), target_bits, n)
-    coords = frozenset(
-        target.vector_names[j] for j in range(n) if (solution >> j) & 1
-    )
-    return SetKet(target, coords)
+    return SetKet(target, target.coords_of(gf2_solve(target.vector_bits(), s._bits())))
 
 
 def _paper_order_key(universe: Universe, bits: int):
@@ -235,6 +226,27 @@ def _paper_order_key(universe: Universe, bits: int):
     for i, p in enumerate(positions):
         key.append(p if i % 2 == 0 else -p)
     return tuple(key)
+
+
+def _coordinate_table(basis: Basis) -> list[int]:
+    """coords[m] is the coordinate mask, in `basis`, of the subset with bits m.
+
+    Built by summing basis vectors over every coordinate mask c, each sum
+    extending the one for c without its lowest bit.
+    """
+    vectors = basis.vector_bits()
+    size = 1 << len(basis.universe)
+    if len(vectors) != len(basis.universe):
+        raise BasisError(f"basis {basis.name!r} needs {len(basis.universe)} vectors")
+    subset = [0] * size
+    coords = [0] * size
+    for c in range(1, size):
+        low = c & -c
+        m = subset[c] = subset[c ^ low] ^ vectors[low.bit_length() - 1]
+        if not m or coords[m]:
+            raise BasisError(f"basis {basis.name!r} vectors are GF(2)-dependent")
+        coords[m] = c
+    return coords
 
 
 def ket_table(
@@ -257,15 +269,14 @@ def ket_table(
     n = len(universe)
     if n > bound:
         raise BoundError(f"universe size {n} exceeds ket-table bound {bound}")
-    std = standard_basis(universe)
+    tables = [_coordinate_table(b) for b in bases]
     masks = list(range(1 << n))
     if paper_order:
         masks.sort(key=lambda m: _paper_order_key(universe, m))
-    rows = []
-    for mask in masks:
-        ket = SetKet(std, bits_to_subset(universe, mask))
-        rows.append([to_basis(ket, b) for b in bases])
-    return rows
+    return [
+        [SetKet(b, b.coords_of(table[mask])) for b, table in zip(bases, tables)]
+        for mask in masks
+    ]
 
 
 @dataclass(frozen=True)
@@ -325,14 +336,9 @@ def apply_map(m: LinearMap, s: SetKet) -> SetKet:
     out_bits = 0
     for name in s.coords:
         out_bits ^= m.columns[m.domain.name_position(name)]
-    n = len(m.codomain.universe)
-    coords = frozenset(
-        m.codomain.vector_names[j] for j in range(n) if (out_bits >> j) & 1
-    )
-    return SetKet(m.codomain, coords)
+    return SetKet(m.codomain, m.codomain.coords_of(out_bits))
 
 
 def is_nonsingular(m: LinearMap) -> bool:
     """True iff the map keeps distinct vectors distinct (full GF(2) rank)."""
-    n = len(m.domain.universe)
-    return gf2_rank(list(m.columns), n) == n
+    return gf2_rank(m.columns) == len(m.columns)

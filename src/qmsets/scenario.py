@@ -25,7 +25,9 @@ Grammar (one statement per line, ``#`` starts a comment):
 
 Any command may end with ``to <path>`` to write its output to a file, each
 path at most once.  Every referenced name must be declared on an earlier
-line; names are unique per kind; a seed is required when a sampling command
+line, and names are unique per kind.  An argument that names two of the
+kinds it may take is a parse error (exit 2); operands on different universes
+are a runtime error (exit 3).  A seed is required when a sampling command
 (cascade) appears.
 """
 
@@ -34,26 +36,39 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .attributes import Attribute
+from .attributes import Attribute, inverse_image_partition
 from .errors import QmSetsError, ScenarioError
 from .gf2 import Basis, LinearMap, SetKet, check_basis, standard_basis
 from .group_action import Permutation, TransformationGroup, generate_group
 from .universe import SetPartition, Universe
 
-COMMAND_KINDS = (
-    "ket-table",
-    "distribution",
-    "measure",
-    "entropy",
-    "join",
-    "orbits",
-    "evolve",
-    "cascade",
-    "lattice",
-    "pythagoras",
-)
+# The argument kinds of each command: "a|b" takes a name of either kind, and
+# a trailing "..." takes one or more names.
+COMMANDS = {
+    "ket-table": ("basis|universe...",),
+    "distribution": ("state",),
+    "measure": ("attribute", "state"),
+    "entropy": ("partition|attribute",),
+    "join": ("partition|attribute", "partition|attribute"),
+    "orbits": ("group",),
+    "evolve": ("map", "state"),
+    "cascade": ("attribute...", "state"),
+    "lattice": ("universe",),
+    "pythagoras": ("partition|attribute", "state"),
+}
 
 SAMPLING_COMMANDS = ("cascade",)
+
+# The Scenario field that holds the declarations of each kind.
+_POOLS = {
+    "universe": "universes",
+    "basis": "bases",
+    "attribute": "attributes",
+    "partition": "partitions",
+    "group": "groups",
+    "state": "states",
+    "map": "maps",
+}
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,7 @@ class Command:
     kind: str
     args: tuple[str, ...]
     destination: str | None = None
+    values: tuple = ()  # what each of args names, resolved at parse time
 
 
 @dataclass
@@ -78,12 +94,26 @@ class Scenario:
     commands: list[Command] = field(default_factory=list)
     decl_lines: list[str] = field(default_factory=list)
 
-    def resolve_basis(self, name: str, line: int) -> Basis:
-        if name in self.bases:
-            return self.bases[name]
-        if name in self.universes:
-            return standard_basis(self.universes[name], name=name)
-        raise ScenarioError(f"undeclared basis or universe {name!r}", line)
+    def lookup(self, name: str, kinds: str, line: int):
+        """The value of `name`, declared as exactly one of `kinds` ("a|b").
+
+        A universe stands for its standard basis where a basis is wanted, and
+        an attribute for its inverse-image partition where a partition is.
+        """
+        allowed = kinds.split("|")
+        found = [k for k in allowed if name in getattr(self, _POOLS[k])]
+        if not found:
+            raise ScenarioError(f"undeclared {' or '.join(allowed)} {name!r}", line)
+        if len(found) > 1:
+            raise ScenarioError(
+                f"ambiguous name {name!r}: declared as {' and '.join(found)}", line
+            )
+        value = getattr(self, _POOLS[found[0]])[name]
+        if found[0] == "universe" and allowed[0] == "basis":
+            return standard_basis(value, name=name)
+        if found[0] == "attribute" and allowed[0] == "partition":
+            return inverse_image_partition(value)
+        return value
 
     def serialize(self) -> str:
         lines = list(self.decl_lines)
@@ -121,18 +151,10 @@ def _parse_cycles(text: str, line: int) -> list[list[str]]:
 class _Parser:
     def __init__(self):
         self.scenario = Scenario()
-        self.names: dict[str, str] = {}  # name -> kind, for uniqueness per kind
 
     def declare(self, kind: str, name: str, line: int) -> None:
-        key = f"{kind}:{name}"
-        if key in self.names:
+        if name in getattr(self.scenario, _POOLS[kind]):
             raise ScenarioError(f"duplicate {kind} name {name!r}", line)
-        self.names[key] = kind
-
-    def universe(self, name: str, line: int) -> Universe:
-        if name not in self.scenario.universes:
-            raise ScenarioError(f"undeclared universe {name!r}", line)
-        return self.scenario.universes[name]
 
     def parse_line(self, raw: str, line: int) -> None:
         text = raw.split("#", 1)[0].strip()
@@ -141,9 +163,9 @@ class _Parser:
         head = text.split()[0]
         if head == "seed":
             self._seed(text, line)
-        elif head in ("universe", "basis", "attribute", "partition", "group", "state", "map"):
+        elif head in _POOLS:
             self._declaration(head, text, line)
-        elif head in COMMAND_KINDS:
+        elif head in COMMANDS:
             self._command(head, text, line)
         else:
             raise ScenarioError(f"unknown statement {head!r}", line)
@@ -189,8 +211,13 @@ class _Parser:
         name, link, ref = parts[1], parts[2], parts[3]
         self.declare(kind, name, line)
         try:
+            # A state "in" a basis is written in that basis; all else is "on"
+            # a universe.
+            if kind == "state" and link == "in":
+                home = sc.lookup(ref, "basis|universe", line)
+            else:
+                home = sc.lookup(ref, "universe", line)
             if kind == "basis":
-                universe = self.universe(ref, line)
                 vec_names, vectors = [], []
                 for chunk in body.split():
                     if ":" not in chunk:
@@ -200,9 +227,8 @@ class _Parser:
                     vname, subset = chunk.split(":", 1)
                     vec_names.append(vname)
                     vectors.append(_parse_subset(subset, line))
-                sc.bases[name] = check_basis(universe, vectors, name, vec_names)
+                sc.bases[name] = check_basis(home, vectors, name, vec_names)
             elif kind == "attribute":
-                universe = self.universe(ref, line)
                 mapping = {}
                 for chunk in body.split():
                     if ":" not in chunk:
@@ -213,34 +239,27 @@ class _Parser:
                     if elem in mapping:
                         raise ScenarioError(f"duplicate element {elem!r}", line)
                     mapping[elem] = value
-                sc.attributes[name] = Attribute.from_mapping(name, universe, mapping)
+                sc.attributes[name] = Attribute.from_mapping(name, home, mapping)
             elif kind == "partition":
-                universe = self.universe(ref, line)
-                sc.partitions[name] = SetPartition.parse(
-                    universe, body.replace(" ", "")
-                )
+                sc.partitions[name] = SetPartition.parse(home, body.replace(" ", ""))
             elif kind == "group":
-                universe = self.universe(ref, line)
                 gens = tuple(
-                    Permutation.from_cycles(universe, _parse_cycles(chunk, line))
+                    Permutation.from_cycles(home, _parse_cycles(chunk, line))
                     for chunk in body.split(",")
                     if chunk.strip()
                 )
                 sc.group_generators[name] = gens
-                sc.groups[name] = generate_group(gens, universe)
+                sc.groups[name] = generate_group(gens, home)
             elif kind == "state":
-                if link == "in":
-                    basis = sc.resolve_basis(ref, line)
-                else:
-                    basis = standard_basis(self.universe(ref, line), name=ref)
-                sc.states[name] = SetKet(basis, frozenset(_parse_subset(body, line)))
+                if isinstance(home, Universe):
+                    home = standard_basis(home, name=ref)
+                sc.states[name] = SetKet(home, frozenset(_parse_subset(body, line)))
             elif kind == "map":
-                universe = self.universe(ref, line)
-                basis = standard_basis(universe, name=ref)
+                basis = standard_basis(home, name=ref)
                 images = [_parse_subset(chunk, line) for chunk in body.split()]
-                if len(images) != len(universe):
+                if len(images) != len(home):
                     raise ScenarioError(
-                        f"map needs {len(universe)} columns, got {len(images)}", line
+                        f"map needs {len(home)} columns, got {len(images)}", line
                     )
                 sc.maps[name] = LinearMap.from_column_subsets(basis, basis, images)
         except ScenarioError:
@@ -267,20 +286,12 @@ class _Parser:
         if kind == "group":
             return ", ".join(g.cycle_string() for g in sc.group_generators[name])
         if kind == "state":
-            ket = sc.states[name]
-            return "{" + ",".join(ket.sorted_coords()) + "}"
+            return str(sc.states[name])
         if kind == "map":
             m = sc.maps[name]
-            universe = m.codomain.universe
-            cells = []
-            for col in m.columns:
-                names = [
-                    m.codomain.vector_names[j]
-                    for j in range(len(universe))
-                    if (col >> j) & 1
-                ]
-                cells.append("{" + ",".join(names) + "}")
-            return " ".join(cells)
+            return " ".join(
+                str(SetKet(m.codomain, m.codomain.coords_of(col))) for col in m.columns
+            )
         raise ScenarioError(f"unknown declaration kind {kind!r}", line)
 
     def _command(self, kind: str, text: str, line: int) -> None:
@@ -300,72 +311,17 @@ class _Parser:
             if not attrs or len(rest) != 1:
                 raise ScenarioError("usage: cascade ATTR... from STATE", line)
             tokens = attrs + rest
-        self._check_refs(kind, tokens, line)
-        sc.commands.append(Command(line, kind, tuple(tokens), destination))
-
-    def _check_refs(self, kind: str, tokens: list[str], line: int) -> None:
-        sc = self.scenario
-
-        def need(name: str, *kinds: str) -> None:
-            pools = {
-                "universe": sc.universes,
-                "basis": sc.bases,
-                "attribute": sc.attributes,
-                "partition": sc.partitions,
-                "group": sc.groups,
-                "state": sc.states,
-                "map": sc.maps,
-            }
-            if not any(name in pools[k] for k in kinds):
-                raise ScenarioError(
-                    f"undeclared {' or '.join(kinds)} {name!r}", line
-                )
-
-        if kind == "ket-table":
-            if not tokens:
-                raise ScenarioError("ket-table needs at least one basis", line)
-            for t in tokens:
-                need(t, "basis", "universe")
-        elif kind == "distribution":
-            if len(tokens) != 1:
-                raise ScenarioError("usage: distribution STATE", line)
-            need(tokens[0], "state")
-        elif kind == "measure":
-            if len(tokens) != 2:
-                raise ScenarioError("usage: measure ATTRIBUTE STATE", line)
-            need(tokens[0], "attribute")
-            need(tokens[1], "state")
-        elif kind == "entropy":
-            if len(tokens) != 1:
-                raise ScenarioError("usage: entropy PARTITION|ATTRIBUTE", line)
-            need(tokens[0], "partition", "attribute")
-        elif kind == "join":
-            if len(tokens) != 2:
-                raise ScenarioError("usage: join NAME NAME", line)
-            for t in tokens:
-                need(t, "partition", "attribute")
-        elif kind == "orbits":
-            if len(tokens) != 1:
-                raise ScenarioError("usage: orbits GROUP", line)
-            need(tokens[0], "group")
-        elif kind == "evolve":
-            if len(tokens) != 2:
-                raise ScenarioError("usage: evolve MAP STATE", line)
-            need(tokens[0], "map")
-            need(tokens[1], "state")
-        elif kind == "cascade":
-            for t in tokens[:-1]:
-                need(t, "attribute")
-            need(tokens[-1], "state")
-        elif kind == "lattice":
-            if len(tokens) != 1:
-                raise ScenarioError("usage: lattice UNIVERSE", line)
-            need(tokens[0], "universe")
-        elif kind == "pythagoras":
-            if len(tokens) != 2:
-                raise ScenarioError("usage: pythagoras PARTITION STATE", line)
-            need(tokens[0], "partition", "attribute")
-            need(tokens[1], "state")
+        kinds = COMMANDS[kind]
+        extra = len(tokens) - len(kinds)
+        wanted = [
+            k.removesuffix("...")
+            for k in kinds
+            for _ in range(1 + extra if k.endswith("...") else 1)
+        ]
+        if extra < 0 or len(wanted) != len(tokens):
+            raise ScenarioError(f"usage: {kind} {' '.join(kinds).upper()}", line)
+        values = tuple(sc.lookup(t, k, line) for t, k in zip(tokens, wanted))
+        sc.commands.append(Command(line, kind, tuple(tokens), destination, values))
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -6,6 +6,7 @@ import pytest
 from qmsets import (
     Attribute,
     BasisError,
+    CompatibilityError,
     EmptyStateError,
     LinearMap,
     QmSetsError,
@@ -291,6 +292,17 @@ class TestPythagoras:
             for s in nonempty_kets(u4):
                 left, right = pythagoras_check(p, s)
                 assert left == right
+
+
+class TestCrossUniverse:
+    def test_operands_on_different_universes_rejected(self, f, g, u3):
+        s = standard_ket(Universe.of("ab"), "ab")
+        with pytest.raises(CompatibilityError):
+            measure_distribution(f, s)
+        with pytest.raises(CompatibilityError):
+            pythagoras_check(inverse_image_partition(f), s)
+        with pytest.raises(CompatibilityError):
+            csca_measure([f, g], s, seed=0)
 
 
 class TestEvolve:

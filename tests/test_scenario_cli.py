@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qmsets import (
     ScenarioError,
@@ -11,6 +12,7 @@ from qmsets import (
     run_scenario,
 )
 from qmsets.cli import main
+from qmsets.scenario import COMMANDS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -26,6 +28,65 @@ measure f S
 entropy P
 cascade f g from S
 """
+
+
+def _set(labels) -> str:
+    return "{" + ",".join(labels) + "}"
+
+
+@st.composite
+def scenario_texts(draw):
+    """Small valid scenarios over one universe, in serialized layout."""
+    labels = list("abcd")[: draw(st.integers(1, 4))]
+    names = [f"v{i}" for i in range(len(labels))]
+
+    def subset(pool):
+        return _set(draw(st.lists(st.sampled_from(pool), unique=True)))
+
+    # Vector i adds earlier labels to label i, so the vectors are independent.
+    vectors = [
+        _set([u] + (draw(st.lists(st.sampled_from(labels[:i]), unique=True)) if i else []))
+        for i, u in enumerate(labels)
+    ]
+    values = [draw(st.sampled_from("12x")) for _ in labels]
+    blocks: dict[int, list[str]] = {}
+    for u in labels:
+        blocks.setdefault(draw(st.integers(0, 2)), []).append(u)
+    lines = [
+        f"seed {draw(st.integers(0, 99))}",
+        f"universe U = {' '.join(labels)}",
+        "basis B on U = " + " ".join(f"{n}:{v}" for n, v in zip(names, vectors)),
+        "attribute f on U = " + " ".join(f"{u}:{v}" for u, v in zip(labels, values)),
+        "partition P on U = " + "|".join(_set(b) for b in blocks.values()),
+        f"state S on U = {subset(labels)}",
+        f"state T in B = {subset(names)}",
+        f"state f on U = {subset(labels)}",  # names are unique per kind only
+        "map M on U = " + " ".join(subset(labels) for _ in labels),
+    ]
+    commands = [
+        "ket-table U B", "distribution S", "measure f T", "measure f f", "entropy P",
+        "entropy f to h.txt", "join P f", "evolve M S", "cascade f from S", "lattice U",
+        "pythagoras f S",
+    ]
+    if len(labels) > 1:
+        pair = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
+        lines.append(f"group G on U = ({' '.join(pair)})")
+        commands.append("orbits G")
+    # A blank line parts declarations from commands, as serialize writes it.
+    lines += [""] + draw(st.lists(st.sampled_from(commands), unique=True))
+    return "\n".join(lines) + "\n"
+
+
+# Keywords and names in declared and undeclared forms, mixed with raw text.
+_FRAGMENTS = st.one_of(
+    st.sampled_from([
+        "seed", "universe", "basis", "attribute", "partition", "group", "state", "map",
+        *COMMANDS, "U", "P", "f", "S", "a", "b", "c", "on", "in", "=", "to", "from",
+        "{a}", "{a,b}", "{}", "{a}|{b,c}", "a:1", "b:2", "c:1", "x:{a}", "(a b)", ",", "#", "42",
+    ]),
+    st.text(max_size=4),
+)
+_TEXTS = st.lists(st.lists(_FRAGMENTS, max_size=8).map(" ".join), max_size=8).map("\n".join)
 
 
 class TestParsing:
@@ -67,8 +128,34 @@ class TestParsing:
                 "universe U = a b\nbasis B on U = x:{a} y:{a}\n"
             )
 
-    def test_round_trip(self):
-        scenario = parse_scenario(BASIC)
+    @pytest.mark.parametrize("command", [
+        "entropy P", "join P P", "pythagoras P S", "ket-table U", "state T in U = {x}",
+    ])
+    def test_ambiguous_name_rejected(self, command):
+        # P is a partition and an attribute; U is a universe and a basis.
+        text = (
+            "universe U = a b c\npartition P on U = {a}|{b,c}\n"
+            "attribute P on U = a:1 b:1 c:2\nstate S on U = {a,b}\n"
+            f"basis U on U = x:{{a}} y:{{a,b}} z:{{c}}\n{command}\n"
+        )
+        with pytest.raises(
+            ScenarioError, match=f"line {text.count(chr(10))}: ambiguous name"
+        ):
+            parse_scenario(text)
+
+    @settings(deadline=None)
+    @given(_TEXTS)
+    def test_arbitrary_text_parses_or_raises_scenario_error(self, text):
+        try:
+            parse_scenario(text)
+        except ScenarioError:
+            pass
+
+    @settings(deadline=None)
+    @given(scenario_texts())
+    @example(BASIC)
+    def test_round_trip(self, text):
+        scenario = parse_scenario(text)
         again = parse_scenario(scenario.serialize())
         assert again == scenario
         assert again.serialize() == scenario.serialize()
@@ -114,6 +201,11 @@ class TestRunning:
         _, files = run_scenario(parse_scenario(text))
         assert f"{tmp_path}/h.txt" in files
         assert files[f"{tmp_path}/h.txt"].startswith("entropy P = 4/9")
+
+    def test_ket_table_json_keeps_basis_order(self):
+        text = "universe U = a b\nbasis V on U = z:{a} y:{a,b}\nket-table V\n"
+        out, _ = run_scenario(parse_scenario(text), fmt="json")
+        assert json.loads(out)["rows"] == [[[]], [["z"]], [["z", "y"]], [["y"]]]
 
     def test_cascade_ends_in_singleton(self):
         out, _ = run_scenario(parse_scenario(BASIC))
@@ -199,6 +291,17 @@ class TestMainExitCodes:
         assert main([str(bad)]) == 3
         err = capsys.readouterr().err
         assert "distribution" in err
+
+    @pytest.mark.parametrize("command", ["measure f S", "pythagoras f S", "cascade f g from S"])
+    def test_cross_universe_operands(self, tmp_path, capsys, command):
+        bad = tmp_path / "cross.qms"
+        bad.write_text(
+            "seed 1\nuniverse U = a b c\nuniverse V = a b\n"
+            "attribute f on U = a:1 b:1 c:2\nattribute g on U = a:x b:y c:y\n"
+            f"state S on V = {{a,b}}\n{command}\n"
+        )
+        assert main([str(bad)]) == 3
+        assert "line 7" in capsys.readouterr().err
 
     def test_duplicate_destination_rejected(self, tmp_path, capsys):
         bad = tmp_path / "dup.qms"
