@@ -69,9 +69,10 @@ class Attribute:
 
 def inverse_image_partition(f: Attribute) -> SetPartition:
     """Blocks are the nonempty preimages f^-1(r)."""
-    return SetPartition.from_blocks(
-        f.universe, (f.preimage(r) for r in f.attained_values())
-    )
+    masks: dict[str, int] = {}
+    for i, v in enumerate(f.values):
+        masks[v] = masks.get(v, 0) | 1 << i
+    return SetPartition._from_masks(f.universe, masks.values())
 
 
 def compatible(f: Attribute, g: Attribute) -> bool:
@@ -100,14 +101,15 @@ def join_attributes(fs: Sequence[Attribute]) -> AnnotatedJoin:
     part = inverse_image_partition(fs[0])
     for g in fs[1:]:
         part = partition_join(part, inverse_image_partition(g))
-    tuples = tuple(tuple(f(block[0]) for f in fs) for block in part.blocks)
+    firsts = [(m & -m).bit_length() - 1 for m in part.masks]
+    tuples = tuple(tuple(f.values[i] for f in fs) for i in firsts)
     return AnnotatedJoin(part, tuples)
 
 
 def is_csca(fs: Sequence[Attribute]) -> bool:
     """True iff the join of the attributes' partitions is discrete."""
-    joined = join_attributes(fs)
-    return all(len(block) == 1 for block in joined.partition.blocks)
+    joined = join_attributes(fs).partition
+    return len(joined.masks) == len(joined.universe)
 
 
 def eigen_sets(f: Attribute, r: str) -> list[SetKet]:

@@ -23,14 +23,10 @@ from .gf2 import (
     is_nonsingular,
     standard_basis,
     standard_ket,
+    subset_to_bits,
     to_basis,
 )
-from .universe import (
-    SetPartition,
-    indiscrete,
-    join as partition_join,
-    require_same_universe,
-)
+from .universe import SetPartition, join as partition_join, require_same_universe
 
 
 def _require_standard(s: SetKet) -> frozenset[str]:
@@ -142,16 +138,12 @@ class Projection:
 
 
 def spectral_decompose(f: Attribute) -> list[tuple[str, Projection]]:
-    """Ordered (value, projection) pairs; completeness and orthogonality checked."""
-    pairs = [(r, Projection(f.preimage(r))) for r in f.attained_values()]
-    covered: set[str] = set()
-    for r, proj in pairs:
-        if covered & proj.support:
-            raise QmSetsError("projections are not orthogonal")
-        covered |= proj.support
-    if covered != set(f.universe.elements):
-        raise QmSetsError("projections do not sum to the identity")
-    return pairs
+    """Ordered (value, projection) pairs.
+
+    The preimages of a total function partition U, so the projections are
+    orthogonal and sum to the identity by construction.
+    """
+    return [(r, Projection(f.preimage(r))) for r in f.attained_values()]
 
 
 def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
@@ -236,14 +228,11 @@ def measure_sample(
 
 
 def measurement_join_partition(s: SetKet) -> SetPartition:
-    """The partition {S, complement of S}, with the empty complement omitted."""
-    subset = _require_standard(s)
+    """The partition {S, complement of S}, with an empty block omitted."""
     universe = s.universe
-    complement = set(universe.elements) - subset
-    blocks = [b for b in (subset, complement) if b]
-    if not blocks:
-        return indiscrete(universe)
-    return SetPartition.from_blocks(universe, blocks)
+    bits = subset_to_bits(universe, _require_standard(s))
+    full = (1 << len(universe)) - 1
+    return SetPartition._from_masks(universe, [m for m in (bits, full ^ bits) if m])
 
 
 @dataclass(frozen=True)
@@ -258,11 +247,11 @@ class MeasurementJoin:
 def measurement_join(f: Attribute, s: SetKet) -> MeasurementJoin:
     from .attributes import inverse_image_partition
 
-    subset = _require_standard(s)
-    state_partition = measurement_join_partition(s)
-    joined = partition_join(state_partition, inverse_image_partition(f))
-    possible = tuple(b for b in joined.blocks if set(b) <= subset)
-    not_potential = tuple(b for b in joined.blocks if not set(b) <= subset)
+    outside = ~subset_to_bits(s.universe, _require_standard(s))
+    joined = partition_join(measurement_join_partition(s), inverse_image_partition(f))
+    labels_of = joined.universe.labels_of
+    possible = tuple(labels_of(m) for m in joined.masks if not m & outside)
+    not_potential = tuple(labels_of(m) for m in joined.masks if m & outside)
     return MeasurementJoin(joined, possible, not_potential)
 
 
@@ -270,9 +259,8 @@ def pythagoras_check(p: SetPartition, s: SetKet) -> tuple[int, int]:
     """(|S|, sum over blocks of |B & S|); equal for every partition."""
     require_same_universe(p, s)
     subset = _require_standard(s)
-    left = len(subset)
-    right = sum(len(set(b) & subset) for b in p.blocks)
-    return left, right
+    bits = subset_to_bits(p.universe, subset)
+    return len(subset), sum((m & bits).bit_count() for m in p.masks)
 
 
 def evolve(m: LinearMap, s: SetKet) -> SetKet:

@@ -24,12 +24,7 @@ from .errors import QmSetsError, ScenarioError
 from .gf2 import ket_table
 from .group_action import orbit_partition
 from .scenario import Command, Scenario, parse_scenario
-from .universe import (
-    DEFAULT_ENUMERATION_BOUND,
-    SetPartition,
-    Universe,
-    enumerate_partitions,
-)
+from .universe import DEFAULT_ENUMERATION_BOUND, Universe, enumerate_partitions
 
 FORMATS = ("text", "csv", "json")
 
@@ -67,23 +62,19 @@ def lattice_render(
     at bottom; an edge p -> q means q covers p in the refinement order
     (p is finer).
     """
-    partitions = enumerate_partitions(universe, bound=bound)
-    by_rank: dict[int, list[SetPartition]] = {}
-    for p in partitions:
-        by_rank.setdefault(len(p.blocks), []).append(p)
+    names = {p.masks: str(p) for p in enumerate_partitions(universe, bound=bound)}
+    by_rank: dict[int, list[str]] = {}
+    for ms, name in names.items():
+        by_rank.setdefault(len(ms), []).append(name)
     lines = []
     for rank in sorted(by_rank, reverse=True):
-        row = sorted(by_rank[rank], key=str)
-        lines.append(f"rank {rank}: " + "  ".join(str(p) for p in row))
-    # q covers p exactly when q merges two blocks of p.
+        lines.append(f"rank {rank}: " + "  ".join(sorted(by_rank[rank])))
+    # q covers p exactly when q merges two blocks of p; the merged block
+    # keeps the place of the first, so the masks stay in canonical order.
     edges = [
-        (str(p), str(SetPartition.from_blocks(
-            universe,
-            [b for k, b in enumerate(p.blocks) if k not in (i, j)]
-            + [p.blocks[i] + p.blocks[j]],
-        )))
-        for p in partitions
-        for i, j in combinations(range(len(p.blocks)), 2)
+        (names[ms], names[ms[:i] + (ms[i] | ms[j],) + ms[i + 1:j] + ms[j + 1:]])
+        for ms in names
+        for i, j in combinations(range(len(ms)), 2)
     ]
     lines.append("edges:")
     for fine, coarse in sorted(edges):
@@ -255,7 +246,8 @@ class _Runner:
     def _cmd_pythagoras(self, cmd: Command) -> None:
         part, state = cmd.values
         left, right = calculus.pythagoras_check(part, state)
-        terms = [len(set(b) & state.to_subset()) for b in part.blocks]
+        subset = state.to_subset()
+        terms = [len(subset.intersection(b)) for b in part.blocks]
         self.line(
             cmd,
             f"pythagoras {cmd.args[0]} {cmd.args[1]}: "

@@ -28,8 +28,16 @@ class Permutation:
             raise QmSetsError("mapping is not a bijection of the universe")
 
     @classmethod
+    def _unchecked(cls, universe: Universe, images: tuple[str, ...]) -> "Permutation":
+        """A permutation from images already known to be a bijection."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "universe", universe)
+        object.__setattr__(t, "images", images)
+        return t
+
+    @classmethod
     def identity(cls, universe: Universe) -> "Permutation":
-        return cls(universe, universe.elements)
+        return cls._unchecked(universe, universe.elements)
 
     @classmethod
     def from_mapping(cls, universe: Universe, mapping: dict[str, str]) -> "Permutation":
@@ -55,8 +63,9 @@ class Permutation:
         """Apply self first, then the other permutation."""
         if self.universe != then.universe:
             raise CompatibilityError("permutations on different universes")
-        return Permutation(
-            self.universe, tuple(then(v) for v in self.images)
+        positions, images = self.universe.positions, then.images
+        return Permutation._unchecked(
+            self.universe, tuple(images[positions[v]] for v in self.images)
         )
 
     def inverse(self) -> "Permutation":
@@ -179,9 +188,12 @@ def orbit_partition(g: TransformationGroup) -> SetPartition:
         span = None
     if span != g.elements:
         raise GroupError("not a group: its elements generate a different set")
-    return SetPartition.from_blocks(
-        g.universe, {frozenset(t(u) for t in g) for u in g.universe}
-    )
+    positions = g.universe.positions
+    orbits = [0] * len(g.universe)
+    for t in g:
+        for i, v in enumerate(t.images):
+            orbits[i] |= 1 << positions[v]
+    return SetPartition._from_masks(g.universe, set(orbits))
 
 
 def is_invariant(g: TransformationGroup, s: SetKet) -> bool:

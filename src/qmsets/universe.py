@@ -1,14 +1,16 @@
 """Universes, set partitions, dit-sets, and logical entropy.
 
-A partition's blocks are stored canonically: each block lists its elements
-in universe order, and blocks are ordered by their least element.  Two
-partitions of the same universe are therefore equal iff they are structurally
-equal, and every partition is hashable.
+A partition is stored as int block masks (bit i is element i in universe
+order), ordered by least bit; label tuples and the ``{a}|{b,c}`` text are
+views.  Two partitions of the same universe are therefore equal iff they are
+structurally equal, and every partition is hashable.  The invariants
+(nonempty, disjoint, covering) are checked once, in from_blocks; the
+library's own constructions build valid masks and skip the check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -26,12 +28,15 @@ class Universe:
     """
 
     elements: tuple[str, ...]
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elements) < 1:
             raise QmSetsError("universe must have at least one element")
-        if len(set(self.elements)) != len(self.elements):
+        positions = {u: i for i, u in enumerate(self.elements)}
+        if len(positions) != len(self.elements):
             raise QmSetsError("universe labels must be pairwise distinct")
+        object.__setattr__(self, "positions", positions)
 
     @classmethod
     def of(cls, labels: Iterable[str]) -> "Universe":
@@ -48,17 +53,26 @@ class Universe:
         return iter(self.elements)
 
     def __contains__(self, label: object) -> bool:
-        return label in self.elements
+        return label in self.positions
 
     def position(self, label: str) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self.positions[label]
+        except KeyError:
             raise QmSetsError(f"label {label!r} is not in the universe") from None
 
     def sort_labels(self, labels: Iterable[str]) -> tuple[str, ...]:
         """Return the labels as a tuple in universe order, validating membership."""
         return tuple(sorted(set(labels), key=self.position))
+
+    def labels_of(self, mask: int) -> tuple[str, ...]:
+        """The labels whose bits are set in the mask, in universe order."""
+        labels = []
+        while mask:
+            low = mask & -mask
+            labels.append(self.elements[low.bit_length() - 1])
+            mask ^= low
+        return tuple(labels)
 
 
 def require_same_universe(a, b) -> None:
@@ -68,47 +82,60 @@ def require_same_universe(a, b) -> None:
         )
 
 
+def _least_bit(mask: int) -> int:
+    return mask & -mask
+
+
 @dataclass(frozen=True)
 class SetPartition:
-    """Disjoint nonempty blocks covering a universe."""
+    """Disjoint nonempty blocks covering a universe, as block masks.
+
+    The raw constructor takes masks that already form a partition, ordered
+    by least bit, and checks nothing; build from labels with from_blocks or
+    parse, which check.
+    """
 
     universe: Universe
-    blocks: tuple[tuple[str, ...], ...]
+    masks: tuple[int, ...]
 
     @classmethod
     def from_blocks(
         cls, universe: Universe, blocks: Iterable[Iterable[str]]
     ) -> "SetPartition":
-        canon = tuple(
-            sorted(
-                (universe.sort_labels(block) for block in blocks),
-                key=lambda b: universe.position(b[0]) if b else -1,
-            )
-        )
-        part = cls(universe, canon)
-        part.validate()
-        return part
-
-    def validate(self) -> None:
-        """Re-check the partition invariants: disjoint, nonempty, covering."""
-        seen: set[str] = set()
-        for block in self.blocks:
-            if not block:
-                raise QmSetsError("partition has an empty block")
+        masks = []
+        for block in blocks:
+            mask = 0
             for label in block:
-                if label not in self.universe:
-                    raise QmSetsError(f"block element {label!r} not in universe")
-                if label in seen:
-                    raise QmSetsError(f"blocks are not disjoint at {label!r}")
-                seen.add(label)
-        if len(seen) != len(self.universe):
+                mask |= 1 << universe.position(label)
+            masks.append(mask)
+        if 0 in masks:
+            raise QmSetsError("partition has an empty block")
+        masks.sort(key=_least_bit)
+        seen = 0
+        for mask in masks:
+            if mask & seen:
+                (label,) = universe.labels_of(_least_bit(mask & seen))
+                raise QmSetsError(f"blocks are not disjoint at {label!r}")
+            seen |= mask
+        if seen != (1 << len(universe)) - 1:
             raise QmSetsError("blocks do not cover the universe")
+        return cls(universe, tuple(masks))
+
+    @classmethod
+    def _from_masks(cls, universe: Universe, masks: Iterable[int]) -> "SetPartition":
+        """Masks that already form a partition, in any order."""
+        return cls(universe, tuple(sorted(masks, key=_least_bit)))
+
+    @property
+    def blocks(self) -> tuple[tuple[str, ...], ...]:
+        """Each block's labels in universe order."""
+        return tuple(self.universe.labels_of(m) for m in self.masks)
 
     def block_of(self, label: str) -> tuple[str, ...]:
-        for block in self.blocks:
-            if label in block:
-                return block
-        raise QmSetsError(f"label {label!r} not in any block")
+        if label not in self.universe:
+            raise QmSetsError(f"label {label!r} not in any block")
+        bit = 1 << self.universe.position(label)
+        return next(self.universe.labels_of(m) for m in self.masks if m & bit)
 
     def block_sets(self) -> list[frozenset[str]]:
         return [frozenset(b) for b in self.blocks]
@@ -153,111 +180,85 @@ class DitSet:
 
 def indiscrete(universe: Universe) -> SetPartition:
     """The one-block partition {U} (the 'blob', bottom of the lattice)."""
-    return SetPartition.from_blocks(universe, [universe.elements])
+    return SetPartition(universe, ((1 << len(universe)) - 1,))
 
 
 def discrete(universe: Universe) -> SetPartition:
     """The all-singletons partition (top of the lattice)."""
-    return SetPartition.from_blocks(universe, [[u] for u in universe])
+    return SetPartition(universe, tuple(1 << i for i in range(len(universe))))
 
 
 def join(p: SetPartition, q: SetPartition) -> SetPartition:
     """Partition whose blocks are the nonempty pairwise block intersections."""
     require_same_universe(p, q)
-    blocks = []
-    for b in p.block_sets():
-        for c in q.block_sets():
-            inter = b & c
-            if inter:
-                blocks.append(inter)
-    return SetPartition.from_blocks(p.universe, blocks)
+    return SetPartition._from_masks(
+        p.universe, [m for b in p.masks for c in q.masks if (m := b & c)]
+    )
 
 
 def meet(p: SetPartition, q: SetPartition) -> SetPartition:
-    """Finest common coarsening, via equivalence closure of both block relations.
+    """Finest common coarsening: each block of q merges the blocks it meets.
 
     Extra lattice operation used for lattice rendering; join is the operation
     with measurement semantics.
     """
     require_same_universe(p, q)
-    parent = {u: u for u in p.universe}
-
-    def find(u: str) -> str:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    def union(u: str, v: str) -> None:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-
-    for part in (p, q):
-        for block in part.blocks:
-            for label in block[1:]:
-                union(block[0], label)
-
-    groups: dict[str, set[str]] = {}
-    for u in p.universe:
-        groups.setdefault(find(u), set()).add(u)
-    return SetPartition.from_blocks(p.universe, groups.values())
+    blocks = list(p.masks)
+    for c in q.masks:
+        merged = sum(b for b in blocks if b & c)  # disjoint masks: sum is union
+        blocks = [b for b in blocks if not b & c] + [merged]
+    return SetPartition._from_masks(p.universe, blocks)
 
 
 def dit(p: SetPartition) -> DitSet:
     """All ordered pairs of elements lying in distinct blocks."""
-    owner = {u: i for i, block in enumerate(p.blocks) for u in block}
-    pairs = frozenset(
-        (u, v)
-        for u in p.universe
-        for v in p.universe
-        if u != v and owner[u] != owner[v]
-    )
-    return DitSet(p.universe, pairs)
+    universe = p.universe
+    full = (1 << len(universe)) - 1
+    pairs = set()
+    for b in p.masks:
+        others = universe.labels_of(full ^ b)
+        pairs.update((u, v) for u in universe.labels_of(b) for v in others)
+    return DitSet(universe, frozenset(pairs))
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:
     """True iff every block of p is contained in some block of q."""
     require_same_universe(p, q)
-    q_blocks = q.block_sets()
-    return all(any(set(b) <= c for c in q_blocks) for b in p.blocks)
+    return all(any(b & ~c == 0 for c in q.masks) for b in p.masks)
 
 
 def logical_entropy(p: SetPartition) -> Fraction:
     """Logical entropy |dit(p)| / |U|^2, with |dit(p)| = |U|^2 - sum |B|^2."""
     n = len(p.universe)
-    return Fraction(n * n - sum(len(b) ** 2 for b in p.blocks), n * n)
+    return Fraction(n * n - sum(m.bit_count() ** 2 for m in p.masks), n * n)
 
 
 def enumerate_partitions(
     universe: Universe, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> list[SetPartition]:
-    """All partitions of the universe, in restricted-growth-string order."""
+    """All partitions of the universe, in lexicographic restricted-growth-
+    string order (Knuth, TAOCP 4A, 7.2.1.5).
+
+    Element i joins each block of every partition of the elements before it,
+    then a block of its own; block k is the one whose least element came
+    k-th, so the masks are already in canonical order.
+    """
     n = len(universe)
     if n > bound:
         raise BoundError(
             f"universe size {n} exceeds enumeration bound {bound}"
         )
-    elements = universe.elements
-    results: list[SetPartition] = []
-
-    def extend(rgs: list[int], max_label: int) -> None:
-        if len(rgs) == n:
-            k = max_label + 1
-            blocks: list[list[str]] = [[] for _ in range(k)]
-            for idx, lab in enumerate(rgs):
-                blocks[lab].append(elements[idx])
-            results.append(SetPartition.from_blocks(universe, blocks))
-            return
-        for lab in range(max_label + 2):
-            rgs.append(lab)
-            extend(rgs, max(max_label, lab))
-            rgs.pop()
-
-    extend([0], 0)
-    return results
+    rows: list[tuple[int, ...]] = [()]
+    for i in range(n):
+        bit = 1 << i
+        rows = [
+            ms[:k] + (ms[k] | bit,) + ms[k + 1:] if k < len(ms) else ms + (bit,)
+            for ms in rows
+            for k in range(len(ms) + 1)
+        ]
+    return [SetPartition(universe, ms) for ms in rows]
 
 
 def block_sizes(p: SetPartition) -> list[int]:
     """Occupation numbers of the partition, sorted descending."""
-    return sorted((len(b) for b in p.blocks), reverse=True)
+    return sorted((m.bit_count() for m in p.masks), reverse=True)

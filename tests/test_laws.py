@@ -1,0 +1,162 @@
+"""Laws of the partition layer, as hypothesis properties.
+
+Universes have 1-6 generated labels.  Partitions are drawn as a block
+index per element and handed to from_blocks in a shuffled block order, so
+the canonical form is exercised along with the operations.  The oracles
+here (Bell numbers, pair counting, union-find) share no code with qmsets.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from qmsets import (
+    Permutation,
+    SetPartition,
+    Universe,
+    discrete,
+    dit,
+    enumerate_partitions,
+    generate_group,
+    indiscrete,
+    join,
+    logical_entropy,
+    meet,
+    orbit_partition,
+    refines,
+)
+
+from conftest import UnionFind
+
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
+
+LAWS = settings(max_examples=40, deadline=None)
+
+_labels = st.lists(
+    st.text(alphabet="abcxyz019_'", min_size=1, max_size=3),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+universes = _labels.map(Universe.of)
+
+
+@st.composite
+def partitions(draw, universe):
+    n = len(universe)
+    owner = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups: dict[int, list[str]] = {}
+    for label, k in zip(universe, owner):
+        groups.setdefault(k, []).append(label)
+    blocks = draw(st.permutations([draw(st.permutations(g)) for g in groups.values()]))
+    return SetPartition.from_blocks(universe, blocks)
+
+
+@st.composite
+def universe_and(draw, count):
+    universe = draw(universes)
+    return (universe, *(draw(partitions(universe)) for _ in range(count)))
+
+
+def pairs_apart(p):
+    """Ordered pairs in different blocks, counted from the label view."""
+    owner = {u: i for i, block in enumerate(p.blocks) for u in block}
+    return {(u, v) for u in p.universe for v in p.universe if owner[u] != owner[v]}
+
+
+class TestLattice:
+    @LAWS
+    @given(universe_and(2))
+    def test_commutative(self, upq):
+        _, p, q = upq
+        assert join(p, q) == join(q, p)
+        assert meet(p, q) == meet(q, p)
+
+    @LAWS
+    @given(universe_and(3))
+    def test_associative(self, upqr):
+        _, p, q, r = upqr
+        assert join(join(p, q), r) == join(p, join(q, r))
+        assert meet(meet(p, q), r) == meet(p, meet(q, r))
+
+    @LAWS
+    @given(universe_and(1))
+    def test_idempotent(self, up):
+        _, p = up
+        assert join(p, p) == p
+        assert meet(p, p) == p
+
+    @LAWS
+    @given(universe_and(2))
+    def test_absorption(self, upq):
+        _, p, q = upq
+        assert join(p, meet(p, q)) == p
+        assert meet(p, join(p, q)) == p
+
+    @LAWS
+    @given(universe_and(2))
+    def test_refines_iff_join_is_left(self, upq):
+        _, p, q = upq
+        assert refines(p, q) == (join(p, q) == p)
+        assert refines(p, q) == (meet(p, q) == q)
+
+    @LAWS
+    @given(universe_and(1))
+    def test_top_and_bottom(self, up):
+        u, p = up
+        top, bottom = discrete(u), indiscrete(u)
+        assert len(top.blocks) == len(u) and len(bottom.blocks) == 1
+        assert join(p, bottom) == p and join(p, top) == top
+        assert meet(p, top) == p and meet(p, bottom) == bottom
+        assert refines(top, p) and refines(p, bottom)
+
+    @LAWS
+    @given(universe_and(1))
+    def test_canonical_text_round_trip(self, up):
+        u, p = up
+        assert SetPartition.parse(u, str(p)) == p
+        assert sorted(label for block in p.blocks for label in block) == sorted(u)
+
+    @settings(max_examples=12, deadline=None)
+    @given(universes)
+    def test_enumeration_gives_bell_many_distinct(self, u):
+        parts = enumerate_partitions(u)
+        assert len(parts) == len(set(parts)) == BELL[len(u)]
+        for p in parts:
+            assert sorted(label for block in p.blocks for label in block) == sorted(u)
+
+
+class TestDitsAndEntropy:
+    @LAWS
+    @given(universe_and(2))
+    def test_dit_of_join_is_union(self, upq):
+        _, p, q = upq
+        assert dit(join(p, q)).pairs == dit(p).pairs | dit(q).pairs
+
+    @LAWS
+    @given(universe_and(1))
+    def test_dit_count(self, up):
+        u, p = up
+        n = len(u)
+        assert dit(p).pairs == pairs_apart(p)
+        assert len(dit(p)) == n * n - sum(len(b) ** 2 for b in p.blocks)
+
+    @LAWS
+    @given(universe_and(1))
+    def test_entropy_is_dit_density(self, up):
+        u, p = up
+        assert logical_entropy(p) == Fraction(len(dit(p)), len(u) ** 2)
+
+
+class TestOrbits:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_orbits_equal_union_find(self, data):
+        u = data.draw(universes)
+        images = data.draw(st.lists(st.permutations(u.elements), min_size=1, max_size=3))
+        gens = [Permutation(u, tuple(im)) for im in images]
+        uf = UnionFind(u.elements)
+        for t in gens:
+            for label in u:
+                uf.union(label, t(label))
+        assert set(orbit_partition(generate_group(gens, u)).block_sets()) == uf.groups()
