@@ -67,10 +67,10 @@ class KetBraResolution:
 
 def ketbra_resolve(t: SetKet, s: SetKet) -> KetBraResolution:
     """Sum over u of <T|{u}><{u}|S>, with the singleton resolution of S."""
-    tt = _require_standard(t)
-    ss = _require_standard(s)
+    value = bracket(t, s)
+    ss = s.to_subset()
     resolution = tuple(standard_ket(s.universe, [u]) for u in s.universe if u in ss)
-    return KetBraResolution(len(tt & ss), resolution)
+    return KetBraResolution(value, resolution)
 
 
 @dataclass(frozen=True)

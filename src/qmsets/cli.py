@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import calculus, universe as up
 from .errors import QmSetsError, ScenarioError
-from .gf2 import ket_table
+from .gf2 import DEFAULT_KET_TABLE_BOUND, _ket_masks, braced
 from .group_action import orbit_partition
 from .scenario import Command, Scenario, parse_scenario
 from .universe import DEFAULT_ENUMERATION_BOUND, Universe, enumerate_partitions
@@ -117,18 +117,19 @@ class _Runner:
 
     def _cmd_ket_table(self, cmd: Command) -> None:
         bases = cmd.values
-        kwargs = {"paper_order": self.paper_order}
-        if self.bound is not None:
-            kwargs["bound"] = self.bound
-        rows = ket_table(bases, **kwargs)
-        header = [
-            f"{b.name} = {{{','.join(b.vector_names)}}}" for b in bases
-        ]
-        cells = [header] + [[str(k) for k in row] for row in rows]
+        bound = self.bound if self.bound is not None else DEFAULT_KET_TABLE_BOUND
+        rows = _ket_masks(bases, self.paper_order, bound)
+        # names[i][c]: the vectors of basis i set in coordinate mask c, in basis order
+        names: list[list[tuple[str, ...]]] = [[()] for _ in bases]
+        for b, ns in zip(bases, names):
+            for name in b.vector_names:
+                ns.extend([x + (name,) for x in ns])
+        header = [f"{b.name} = {braced(b.vector_names)}" for b in bases]
+        cells = [header] + [[braced(ns[c]) for ns, c in zip(names, row)] for row in rows]
         record = {
             "command": "ket-table",
             "bases": [b.name for b in bases],
-            "rows": [[list(k.sorted_coords()) for k in row] for row in rows],
+            "rows": [[ns[c] for ns, c in zip(names, row)] for row in rows],
         }
         self.table(cmd, "", cells, record)
 

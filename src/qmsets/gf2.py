@@ -3,6 +3,7 @@
 Subsets are vectors under symmetric difference.  Bit-vectors (Python ints,
 bit i = element i in universe order) are the canonical representation;
 label sets are a view.  A ket always carries the basis it is expressed in.
+Ket tables are built as coordinate masks and rendered from them directly.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class Basis:
 
     @property
     def is_standard(self) -> bool:
-        return all(
+        return len(self.vectors) == len(self.universe) and all(
             v == frozenset((u,))
             for u, v in zip(self.universe.elements, self.vectors)
         )
@@ -102,11 +103,14 @@ class Basis:
     def vector_bits(self) -> list[int]:
         return [subset_to_bits(self.universe, v) for v in self.vectors]
 
-    def coords_of(self, mask: int) -> frozenset[str]:
-        """The names of the vectors whose bits are set in a coordinate mask."""
-        return frozenset(
+    def names_of(self, mask: int) -> tuple[str, ...]:
+        """The names of the vectors set in a coordinate mask, in basis order."""
+        return tuple(
             name for j, name in enumerate(self.vector_names) if (mask >> j) & 1
         )
+
+    def coords_of(self, mask: int) -> frozenset[str]:
+        return frozenset(self.names_of(mask))
 
     def name_position(self, vector_name: str) -> int:
         try:
@@ -115,6 +119,11 @@ class Basis:
             raise BasisError(
                 f"{vector_name!r} is not a vector of basis {self.name!r}"
             ) from None
+
+
+def braced(names: Iterable[str]) -> str:
+    """The text form of a coordinate set: names in basis order, in braces."""
+    return "{" + ",".join(names) + "}"
 
 
 def standard_basis(universe: Universe, name: str = "U") -> Basis:
@@ -184,10 +193,10 @@ class SetKet:
         return bits_to_subset(self.universe, self._bits())
 
     def sorted_coords(self) -> tuple[str, ...]:
-        return tuple(sorted(self.coords, key=self.basis.name_position))
+        return tuple(name for name in self.basis.vector_names if name in self.coords)
 
     def __str__(self) -> str:
-        return "{" + ",".join(self.sorted_coords()) + "}"
+        return braced(self.sorted_coords())
 
 
 def standard_ket(universe: Universe, labels: Iterable[str], basis: Basis | None = None) -> SetKet:
@@ -249,17 +258,8 @@ def _coordinate_table(basis: Basis) -> list[int]:
     return coords
 
 
-def ket_table(
-    bases: Sequence[Basis],
-    paper_order: bool = False,
-    bound: int = DEFAULT_KET_TABLE_BOUND,
-) -> list[list[SetKet]]:
-    """All 2^n kets, each row the same abstract vector in every basis.
-
-    Default row order is binary counting on the standard-basis subset;
-    paper_order lists rows by descending cardinality with the zero vector
-    last.
-    """
+def _ket_masks(bases: Sequence[Basis], paper_order: bool, bound: int) -> list[tuple]:
+    """The rows of the ket table, each the coordinate masks of one vector."""
     if not bases:
         raise BasisError("ket_table needs at least one basis")
     universe = bases[0].universe
@@ -273,9 +273,23 @@ def ket_table(
     masks = list(range(1 << n))
     if paper_order:
         masks.sort(key=lambda m: _paper_order_key(universe, m))
+    return list(zip(*([table[m] for m in masks] for table in tables)))
+
+
+def ket_table(
+    bases: Sequence[Basis],
+    paper_order: bool = False,
+    bound: int = DEFAULT_KET_TABLE_BOUND,
+) -> list[list[SetKet]]:
+    """All 2^n kets, each row the same abstract vector in every basis.
+
+    Default row order is binary counting on the standard-basis subset;
+    paper_order lists rows by descending cardinality with the zero vector
+    last.
+    """
     return [
-        [SetKet(b, b.coords_of(table[mask])) for b, table in zip(bases, tables)]
-        for mask in masks
+        [SetKet(b, b.coords_of(c)) for b, c in zip(bases, row)]
+        for row in _ket_masks(bases, paper_order, bound)
     ]
 
 

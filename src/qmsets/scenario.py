@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .attributes import Attribute, inverse_image_partition
 from .errors import QmSetsError, ScenarioError
-from .gf2 import Basis, LinearMap, SetKet, check_basis, standard_basis
+from .gf2 import Basis, LinearMap, SetKet, braced, check_basis, standard_basis
 from .group_action import Permutation, TransformationGroup, generate_group
 from .universe import SetPartition, Universe
 
@@ -289,9 +289,7 @@ class _Parser:
             return str(sc.states[name])
         if kind == "map":
             m = sc.maps[name]
-            return " ".join(
-                str(SetKet(m.codomain, m.codomain.coords_of(col))) for col in m.columns
-            )
+            return " ".join(braced(m.codomain.names_of(col)) for col in m.columns)
         raise ScenarioError(f"unknown declaration kind {kind!r}", line)
 
     def _command(self, kind: str, text: str, line: int) -> None:

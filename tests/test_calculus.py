@@ -120,6 +120,12 @@ class TestKetBra:
             for s in kets:
                 assert ketbra_resolve(t, s).value == bracket(t, s)
 
+    def test_operands_on_different_universes_rejected(self, u3):
+        t = standard_ket(u3, "ab")
+        s = standard_ket(Universe.of("abz"), "ab")
+        with pytest.raises(QmSetsError, match="different universes"):
+            ketbra_resolve(t, s)
+
 
 class TestBorn:
     def test_two_element_state(self, u3):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmsets import (
+    Basis,
     BasisError,
     LinearMap,
     SetKet,
@@ -92,6 +93,10 @@ class TestCheckBasis:
     def test_standard_basis_valid(self, u3):
         b = standard_basis(u3)
         assert b.is_standard
+
+    def test_short_raw_basis_is_not_standard(self, u3):
+        short = Basis(u3, "B", ("a", "b"), (frozenset("a"), frozenset("b")))
+        assert not short.is_standard
 
     def test_dependent_rejected(self, u3):
         with pytest.raises(BasisError, match="rank-deficient"):

@@ -1,29 +1,43 @@
-"""Laws of the partition layer, as hypothesis properties.
+"""Laws of the partition and GF(2) layers, as hypothesis properties.
 
 Universes have 1-6 generated labels.  Partitions are drawn as a block
 index per element and handed to from_blocks in a shuffled block order, so
-the canonical form is exercised along with the operations.  The oracles
-here (Bell numbers, pair counting, union-find) share no code with qmsets.
+the canonical form is exercised along with the operations.  Bases are the
+standard one under random row additions, in shuffled order with shuffled
+vector names.  The oracles here (Bell numbers, pair counting, union-find,
+XOR of label sets) share no code with qmsets.
 """
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from qmsets import (
+    LinearMap,
     Permutation,
+    SetKet,
     SetPartition,
     Universe,
+    apply_map,
+    check_basis,
     discrete,
     dit,
     enumerate_partitions,
     generate_group,
     indiscrete,
+    is_nonsingular,
     join,
+    ket_table,
     logical_entropy,
     meet,
     orbit_partition,
+    parse_scenario,
     refines,
+    run_scenario,
+    standard_basis,
+    standard_ket,
+    to_basis,
 )
 
 from conftest import UnionFind
@@ -160,3 +174,101 @@ class TestOrbits:
             for label in u:
                 uf.union(label, t(label))
         assert set(orbit_partition(generate_group(gens, u)).block_sets()) == uf.groups()
+
+
+@st.composite
+def bases(draw, universe, name):
+    """A basis of generated independent vectors over `universe`."""
+    n = len(universe)
+    vectors = [frozenset((u,)) for u in universe]
+    # Adding one vector to another keeps the set independent.
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n)):
+        if i != j:
+            vectors[i] ^= vectors[j]
+    vectors = draw(st.permutations(vectors))
+    names = draw(st.permutations([f"{name}{k}" for k in range(n)]))
+    return check_basis(universe, vectors, name, names)
+
+
+@st.composite
+def universe_and_bases(draw, count, max_size=6):
+    universe = draw(universes.filter(lambda u: len(u) <= max_size))
+    return (universe, *(draw(bases(universe, name)) for name in "VW"[:count]))
+
+
+def expand(basis, coords):
+    """The subset a coordinate set names: the XOR of its basis vectors."""
+    subset = frozenset()
+    for name in coords:
+        subset ^= basis.vectors[basis.vector_names.index(name)]
+    return subset
+
+
+def in_basis_order(basis, coords):
+    return sorted(coords, key=basis.vector_names.index)
+
+
+class TestGF2:
+    @LAWS
+    @given(universe_and_bases(2), st.booleans())
+    def test_ket_table_rows_are_each_subset_once(self, uvw, paper_order):
+        u, *others = uvw
+        rows = ket_table([standard_basis(u), *others], paper_order=paper_order)
+        subsets = []
+        for row in rows:
+            named = {expand(k.basis, k.coords) for k in row}
+            assert len(named) == 1
+            subsets += named
+        assert len(set(subsets)) == len(subsets) == 2 ** len(u)
+        if not paper_order:
+            # Binary counting on the standard-basis subset.
+            assert [sum(1 << u.position(x) for x in s) for s in subsets] == list(
+                range(2 ** len(u))
+            )
+
+    @LAWS
+    @given(universe_and_bases(2), st.booleans())
+    def test_cli_rows_agree_with_ket_table(self, uvw, paper_order):
+        u, v, w = uvw
+        text = f"universe U = {' '.join(u)}\n" + "".join(
+            f"basis {b.name} on U = "
+            + " ".join(f"{n}:{{{','.join(vec)}}}" for n, vec in zip(b.vector_names, b.vectors))
+            + "\n"
+            for b in (v, w)
+        ) + "ket-table U V W\n"
+        scenario = parse_scenario(text)
+        expected = [
+            [in_basis_order(k.basis, k.coords) for k in row]
+            for row in ket_table([standard_basis(u), v, w], paper_order=paper_order)
+        ]
+        out, _ = run_scenario(scenario, fmt="json", paper_order=paper_order)
+        assert json.loads(out)["rows"] == expected
+        out, _ = run_scenario(scenario, fmt="text", paper_order=paper_order)
+        cells = [line.split() for line in out.splitlines()[1:]]
+        assert cells == [["{" + ",".join(c) + "}" for c in row] for row in expected]
+
+    @LAWS
+    @given(universe_and_bases(2), st.data())
+    def test_to_basis_round_trips(self, uvw, data):
+        u, v, w = uvw
+        subset = frozenset(data.draw(st.sets(st.sampled_from(u.elements))))
+        s = standard_ket(u, subset)
+        in_v = to_basis(s, v)
+        assert expand(v, in_v.coords) == subset
+        assert to_basis(to_basis(in_v, w), v) == in_v
+        assert to_basis(in_v, standard_basis(u)) == s
+
+    @LAWS
+    @given(universe_and_bases(1, max_size=5), st.data())
+    def test_nonsingular_iff_injective(self, uv, data):
+        u, v = uv
+        n = len(u)
+        columns = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=n, max_size=n))
+        m = LinearMap(v, v, tuple(columns))
+        images = {
+            apply_map(m, SetKet(v, frozenset(n for j, n in enumerate(v.vector_names)
+                                             if (c >> j) & 1)))
+            for c in range(2 ** n)
+        }
+        assert is_nonsingular(m) == (len(images) == 2 ** n)
