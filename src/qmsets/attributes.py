@@ -2,7 +2,8 @@
 
 Value labels are opaque tokens with a total order; tokens that parse as
 numbers compare numerically, everything else compares as strings after the
-numeric tokens.
+numeric tokens.  Numerically equal tokens, such as ``1``, ``1.0`` and
+``01``, are distinct values ordered by their text.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from .universe import SetPartition, Universe, join as partition_join
 
 
 def value_sort_key(token: str):
-    """Numeric tokens first, compared numerically; then lexicographic."""
+    """Numeric tokens first, compared numerically, then by text; then the
+    rest, lexicographic."""
     try:
-        return (0, Fraction(token), "")
+        return (0, Fraction(token), token)
     except (ValueError, ZeroDivisionError):
         return (1, Fraction(0), token)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .attributes import Attribute, is_csca
+from .attributes import Attribute, inverse_image_partition, is_csca
 from .errors import BasisError, EmptyStateError, QmSetsError
 from .gf2 import (
     LinearMap,
@@ -245,8 +245,6 @@ class MeasurementJoin:
 
 
 def measurement_join(f: Attribute, s: SetKet) -> MeasurementJoin:
-    from .attributes import inverse_image_partition
-
     outside = ~subset_to_bits(s.universe, _require_standard(s))
     joined = partition_join(measurement_join_partition(s), inverse_image_partition(f))
     labels_of = joined.universe.labels_of

@@ -21,10 +21,10 @@ from itertools import combinations
 
 from . import calculus, universe as up
 from .errors import QmSetsError, ScenarioError
-from .gf2 import DEFAULT_KET_TABLE_BOUND, _ket_masks, braced
+from .gf2 import DEFAULT_KET_TABLE_BOUND, _ket_masks
 from .group_action import orbit_partition
 from .scenario import Command, Scenario, parse_scenario
-from .universe import DEFAULT_ENUMERATION_BOUND, Universe, enumerate_partitions
+from .universe import DEFAULT_ENUMERATION_BOUND, Universe, braced, enumerate_partitions
 
 FORMATS = ("text", "csv", "json")
 
@@ -301,14 +301,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
 
     try:
-        with open(args.scenario, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.scenario, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"qmsets: {exc}", file=sys.stderr)
         return 1
 
     try:
-        scenario = parse_scenario(text)
+        scenario = parse_scenario(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        # The line of the first bad byte, numbered as parse_scenario numbers
+        # lines; the "x" stands for that byte, so a line break just before it counts.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        print(f"qmsets: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8",
+              file=sys.stderr)
+        return 2
     except ScenarioError as exc:
         print(f"qmsets: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BasisError, BoundError, CompatibilityError
-from .universe import Universe
+from .universe import Universe, braced
 
 DEFAULT_KET_TABLE_BOUND = 10
 
@@ -121,11 +121,6 @@ class Basis:
             ) from None
 
 
-def braced(names: Iterable[str]) -> str:
-    """The text form of a coordinate set: names in basis order, in braces."""
-    return "{" + ",".join(names) + "}"
-
-
 def standard_basis(universe: Universe, name: str = "U") -> Basis:
     return Basis(
         universe,
@@ -150,9 +145,9 @@ def check_basis(
         )
     _, i = _echelon([subset_to_bits(universe, v) for v in subsets])
     if i is not None:
-        witness = "{" + ",".join(sorted(subsets[i], key=universe.position)) + "}"
         raise BasisError(
-            f"basis {name!r} is rank-deficient: vector {i} = {witness} "
+            f"basis {name!r} is rank-deficient: vector {i} = "
+            f"{braced(universe.sort_labels(subsets[i]))} "
             f"is a GF(2) combination of earlier vectors"
         )
     if vector_names is None:
@@ -199,12 +194,8 @@ class SetKet:
         return braced(self.sorted_coords())
 
 
-def standard_ket(universe: Universe, labels: Iterable[str], basis: Basis | None = None) -> SetKet:
-    if basis is None:
-        basis = standard_basis(universe)
-    elif not basis.is_standard:
-        raise BasisError("standard_ket requires a standard basis")
-    return SetKet(basis, frozenset(labels))
+def standard_ket(universe: Universe, labels: Iterable[str]) -> SetKet:
+    return SetKet(standard_basis(universe), frozenset(labels))
 
 
 def add(s: SetKet, t: SetKet) -> SetKet:
@@ -335,12 +326,16 @@ def identity_map(basis: Basis) -> LinearMap:
 
 
 def permutation_map(basis: Basis, mapping: dict[str, str]) -> LinearMap:
-    """The linear map permuting basis coordinates per the given bijection."""
-    cols = []
-    for name in basis.vector_names:
-        image = mapping.get(name, name)
-        cols.append(1 << basis.name_position(image))
-    return LinearMap(basis, basis, tuple(cols))
+    """The linear map permuting basis coordinates per the given bijection;
+    vector names the mapping leaves out map to themselves."""
+    for name in mapping:
+        basis.name_position(name)  # raises for a name outside the basis
+    cols = tuple(
+        1 << basis.name_position(mapping.get(name, name)) for name in basis.vector_names
+    )
+    if len(set(cols)) != len(cols):
+        raise BasisError(f"mapping is not a bijection of basis {basis.name!r}")
+    return LinearMap(basis, basis, cols)
 
 
 def apply_map(m: LinearMap, s: SetKet) -> SetKet:

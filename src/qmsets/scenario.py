@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 
 from .attributes import Attribute, inverse_image_partition
 from .errors import QmSetsError, ScenarioError
-from .gf2 import Basis, LinearMap, SetKet, braced, check_basis, standard_basis
+from .gf2 import Basis, LinearMap, SetKet, check_basis, standard_basis
 from .group_action import Permutation, TransformationGroup, generate_group
-from .universe import SetPartition, Universe
+from .universe import SetPartition, Universe, braced
 
 # The argument kinds of each command: "a|b" takes a name of either kind, and
 # a trailing "..." takes one or more names.
@@ -88,7 +88,6 @@ class Scenario:
     attributes: dict[str, Attribute] = field(default_factory=dict)
     partitions: dict[str, SetPartition] = field(default_factory=dict)
     groups: dict[str, TransformationGroup] = field(default_factory=dict)
-    group_generators: dict[str, tuple[Permutation, ...]] = field(default_factory=dict)
     states: dict[str, SetKet] = field(default_factory=dict)
     maps: dict[str, LinearMap] = field(default_factory=dict)
     commands: list[Command] = field(default_factory=list)
@@ -130,31 +129,102 @@ class Scenario:
         return "\n".join(lines) + "\n"
 
 
-def _parse_subset(text: str, line: int) -> list[str]:
+def _parse_subset(text: str) -> list[str]:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
-        raise ScenarioError(f"expected a brace-delimited set, got {text!r}", line)
+        raise ScenarioError(f"expected a brace-delimited set, got {text!r}")
     inner = text[1:-1].strip()
     if not inner:
         return []
     return [s.strip() for s in inner.split(",")]
 
 
-def _parse_cycles(text: str, line: int) -> list[list[str]]:
+def _parse_cycles(text: str) -> list[list[str]]:
     chunks = re.findall(r"\(([^()]*)\)", text)
     stripped = re.sub(r"\([^()]*\)", "", text).strip()
     if stripped:
-        raise ScenarioError(f"malformed cycle notation {text!r}", line)
+        raise ScenarioError(f"malformed cycle notation {text!r}")
     return [chunk.split() for chunk in chunks if chunk.split()]
+
+
+def _entries(body: str, usage: str):
+    """The (key, value) of each "key:value" chunk, checked as it is reached."""
+    for chunk in body.split():
+        if ":" not in chunk:
+            raise ScenarioError(f"{usage}, got {chunk!r}")
+        yield chunk.split(":", 1)
+
+
+def _universe(name: str, home: None, body: str):
+    labels = body.split()
+    return Universe.of(labels), " ".join(labels)
+
+
+def _basis(name: str, home: Universe, body: str):
+    vec_names, vectors = [], []
+    for vname, subset in _entries(body, "basis vector needs name:{...}"):
+        vec_names.append(vname)
+        vectors.append(_parse_subset(subset))
+    basis = check_basis(home, vectors, name, vec_names)
+    return basis, " ".join(
+        f"{n}:{braced(home.sort_labels(v))}" for n, v in zip(vec_names, basis.vectors)
+    )
+
+
+def _attribute(name: str, home: Universe, body: str):
+    mapping = {}
+    for elem, value in _entries(body, "attribute entry needs element:value"):
+        if elem in mapping:
+            raise ScenarioError(f"duplicate element {elem!r}")
+        mapping[elem] = value
+    attr = Attribute.from_mapping(name, home, mapping)
+    return attr, " ".join(f"{u}:{v}" for u, v in zip(home, attr.values))
+
+
+def _partition(name: str, home: Universe, body: str):
+    partition = SetPartition.parse(home, body.replace(" ", ""))
+    return partition, str(partition)
+
+
+def _group(name: str, home: Universe, body: str):
+    gens = [
+        Permutation.from_cycles(home, _parse_cycles(chunk))
+        for chunk in body.split(",")
+        if chunk.strip()
+    ]
+    return generate_group(gens, home), ", ".join(g.cycle_string() for g in gens)
+
+
+def _state(name: str, home: Basis, body: str):
+    state = SetKet(home, frozenset(_parse_subset(body)))
+    return state, str(state)
+
+
+def _map(name: str, home: Basis, body: str):
+    images = [_parse_subset(chunk) for chunk in body.split()]
+    if len(images) != len(home.universe):
+        raise ScenarioError(f"map needs {len(home.universe)} columns, got {len(images)}")
+    m = LinearMap.from_column_subsets(home, home, images)
+    return m, " ".join(braced(home.names_of(col)) for col in m.columns)
+
+
+# The body of each declaration kind, read and written back in one place: from
+# the declared name, its resolved home (None for a universe) and the body
+# text, each returns the value and its canonical body text.
+_DECLARATIONS = {
+    "universe": _universe,
+    "basis": _basis,
+    "attribute": _attribute,
+    "partition": _partition,
+    "group": _group,
+    "state": _state,
+    "map": _map,
+}
 
 
 class _Parser:
     def __init__(self):
         self.scenario = Scenario()
-
-    def declare(self, kind: str, name: str, line: int) -> None:
-        if name in getattr(self.scenario, _POOLS[kind]):
-            raise ScenarioError(f"duplicate {kind} name {name!r}", line)
 
     def parse_line(self, raw: str, line: int) -> None:
         text = raw.split("#", 1)[0].strip()
@@ -163,7 +233,7 @@ class _Parser:
         head = text.split()[0]
         if head == "seed":
             self._seed(text, line)
-        elif head in _POOLS:
+        elif head in _DECLARATIONS:
             self._declaration(head, text, line)
         elif head in COMMANDS:
             self._command(head, text, line)
@@ -180,117 +250,37 @@ class _Parser:
             raise ScenarioError(f"seed must be an integer, got {parts[1]!r}", line)
         self.scenario.decl_lines.append(f"seed {self.scenario.seed}")
 
-    def _split_decl(self, text: str, line: int):
-        # "<kind> <name> [on|in <univ>] = <body>"
+    def _declaration(self, kind: str, text: str, line: int) -> None:
+        # "<kind> <name> [on|in <home>] = <body>"
         if "=" not in text:
             raise ScenarioError("declaration needs '='", line)
         head, body = text.split("=", 1)
         parts = head.split()
-        return parts, body.strip()
-
-    def _declaration(self, kind: str, text: str, line: int) -> None:
-        parts, body = self._split_decl(text, line)
-        sc = self.scenario
         if kind == "universe":
             if len(parts) != 2:
                 raise ScenarioError("usage: universe NAME = e1 e2 ...", line)
-            name = parts[1]
-            self.declare(kind, name, line)
-            labels = body.split()
-            try:
-                sc.universes[name] = Universe.of(labels)
-            except QmSetsError as exc:
-                raise ScenarioError(str(exc), line)
-            sc.decl_lines.append(f"universe {name} = {' '.join(labels)}")
-            return
-
-        if len(parts) != 4 or parts[2] not in ("on", "in"):
-            raise ScenarioError(
-                f"usage: {kind} NAME on UNIVERSE = ...", line
-            )
-        name, link, ref = parts[1], parts[2], parts[3]
-        self.declare(kind, name, line)
-        try:
+        elif len(parts) != 4 or parts[2] not in ("on", "in"):
+            raise ScenarioError(f"usage: {kind} NAME on UNIVERSE = ...", line)
+        sc = self.scenario
+        name, pool = parts[1], getattr(sc, _POOLS[kind])
+        if name in pool:
+            raise ScenarioError(f"duplicate {kind} name {name!r}", line)
+        home = None
+        if kind != "universe":
+            link, ref = parts[2:]
             # A state "in" a basis is written in that basis; all else is "on"
-            # a universe.
+            # a universe, which states and maps take in its standard basis.
             if kind == "state" and link == "in":
                 home = sc.lookup(ref, "basis|universe", line)
             else:
                 home = sc.lookup(ref, "universe", line)
-            if kind == "basis":
-                vec_names, vectors = [], []
-                for chunk in body.split():
-                    if ":" not in chunk:
-                        raise ScenarioError(
-                            f"basis vector needs name:{{...}}, got {chunk!r}", line
-                        )
-                    vname, subset = chunk.split(":", 1)
-                    vec_names.append(vname)
-                    vectors.append(_parse_subset(subset, line))
-                sc.bases[name] = check_basis(home, vectors, name, vec_names)
-            elif kind == "attribute":
-                mapping = {}
-                for chunk in body.split():
-                    if ":" not in chunk:
-                        raise ScenarioError(
-                            f"attribute entry needs element:value, got {chunk!r}", line
-                        )
-                    elem, value = chunk.split(":", 1)
-                    if elem in mapping:
-                        raise ScenarioError(f"duplicate element {elem!r}", line)
-                    mapping[elem] = value
-                sc.attributes[name] = Attribute.from_mapping(name, home, mapping)
-            elif kind == "partition":
-                sc.partitions[name] = SetPartition.parse(home, body.replace(" ", ""))
-            elif kind == "group":
-                gens = tuple(
-                    Permutation.from_cycles(home, _parse_cycles(chunk, line))
-                    for chunk in body.split(",")
-                    if chunk.strip()
-                )
-                sc.group_generators[name] = gens
-                sc.groups[name] = generate_group(gens, home)
-            elif kind == "state":
-                if isinstance(home, Universe):
+                if kind in ("state", "map"):
                     home = standard_basis(home, name=ref)
-                sc.states[name] = SetKet(home, frozenset(_parse_subset(body, line)))
-            elif kind == "map":
-                basis = standard_basis(home, name=ref)
-                images = [_parse_subset(chunk, line) for chunk in body.split()]
-                if len(images) != len(home):
-                    raise ScenarioError(
-                        f"map needs {len(home)} columns, got {len(images)}", line
-                    )
-                sc.maps[name] = LinearMap.from_column_subsets(basis, basis, images)
-        except ScenarioError:
-            raise
+        try:
+            pool[name], canonical = _DECLARATIONS[kind](name, home, body.strip())
         except QmSetsError as exc:
             raise ScenarioError(str(exc), line)
-        sc.decl_lines.append(
-            f"{kind} {name} {link} {ref} = {self._canonical_body(kind, name, line)}"
-        )
-
-    def _canonical_body(self, kind: str, name: str, line: int) -> str:
-        sc = self.scenario
-        if kind == "basis":
-            basis = sc.bases[name]
-            return " ".join(
-                f"{vn}:{{{','.join(basis.universe.sort_labels(vec))}}}"
-                for vn, vec in zip(basis.vector_names, basis.vectors)
-            )
-        if kind == "attribute":
-            attr = sc.attributes[name]
-            return " ".join(f"{u}:{attr(u)}" for u in attr.universe)
-        if kind == "partition":
-            return str(sc.partitions[name])
-        if kind == "group":
-            return ", ".join(g.cycle_string() for g in sc.group_generators[name])
-        if kind == "state":
-            return str(sc.states[name])
-        if kind == "map":
-            m = sc.maps[name]
-            return " ".join(braced(m.codomain.names_of(col)) for col in m.columns)
-        raise ScenarioError(f"unknown declaration kind {kind!r}", line)
+        sc.decl_lines.append(f"{' '.join(parts)} = {canonical}")
 
     def _command(self, kind: str, text: str, line: int) -> None:
         sc = self.scenario

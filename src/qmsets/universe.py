@@ -75,6 +75,11 @@ class Universe:
         return tuple(labels)
 
 
+def braced(names: Iterable[str]) -> str:
+    """The text form of a set: its names in the order given, in braces."""
+    return "{" + ",".join(names) + "}"
+
+
 def require_same_universe(a, b) -> None:
     if a.universe != b.universe:
         raise CompatibilityError(
@@ -141,7 +146,7 @@ class SetPartition:
         return [frozenset(b) for b in self.blocks]
 
     def __str__(self) -> str:
-        return "|".join("{" + ",".join(block) + "}" for block in self.blocks)
+        return "|".join(braced(block) for block in self.blocks)
 
     @classmethod
     def parse(cls, universe: Universe, text: str) -> "SetPartition":

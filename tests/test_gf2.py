@@ -182,6 +182,16 @@ class TestLinearMaps:
         assert apply_map(m, standard_ket(u3, "a")).to_subset() == frozenset("b")
         assert is_nonsingular(m)
 
+    @pytest.mark.parametrize("mapping", [{"z": "a"}, {"a": "z"}])
+    def test_permutation_names_must_be_vectors(self, u_basis, mapping):
+        with pytest.raises(BasisError, match="'z' is not a vector"):
+            permutation_map(u_basis, mapping)
+
+    @pytest.mark.parametrize("mapping", [{"a": "b"}, {"a": "c", "b": "c", "c": "a"}])
+    def test_permutation_must_be_bijection(self, u_basis, mapping):
+        with pytest.raises(BasisError, match="not a bijection"):
+            permutation_map(u_basis, mapping)
+
     def test_linearity_exhaustive_u4(self, u4):
         basis = standard_basis(u4)
         m = LinearMap(basis, basis, (0b0011, 0b0110, 0b1100, 0b1001))

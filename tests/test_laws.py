@@ -4,16 +4,23 @@ Universes have 1-6 generated labels.  Partitions are drawn as a block
 index per element and handed to from_blocks in a shuffled block order, so
 the canonical form is exercised along with the operations.  Bases are the
 standard one under random row additions, in shuffled order with shuffled
-vector names.  The oracles here (Bell numbers, pair counting, union-find,
-XOR of label sets) share no code with qmsets.
+vector names.  Attributes take values from a fixed token set.  The
+oracles here (Bell numbers, pair counting, union-find, XOR of label sets,
+counting preimages, the blake2b draw) share no code with qmsets.
 """
 
+import hashlib
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from qmsets import (
+    Attribute,
     LinearMap,
     Permutation,
     SetKet,
@@ -21,24 +28,30 @@ from qmsets import (
     Universe,
     apply_map,
     check_basis,
+    csca_final_distribution,
     discrete,
     dit,
     enumerate_partitions,
     generate_group,
     indiscrete,
+    is_csca,
     is_nonsingular,
     join,
     ket_table,
     logical_entropy,
+    measure_distribution,
+    measure_sample,
     meet,
     orbit_partition,
     parse_scenario,
+    pythagoras_check,
     refines,
     run_scenario,
     standard_basis,
     standard_ket,
     to_basis,
 )
+from qmsets.cli import main
 
 from conftest import UnionFind
 
@@ -272,3 +285,171 @@ class TestGF2:
             for c in range(2 ** n)
         }
         assert is_nonsingular(m) == (len(images) == 2 ** n)
+
+
+# Digit tokens compare as numbers and come first; the rest compare as text.
+VALUES = ["0", "2", "10", "x", "y", "xy"]
+
+
+def value_order(token):
+    return (0, int(token), "") if token.isdigit() else (1, 0, token)
+
+
+@st.composite
+def attributes(draw, universe, name="f"):
+    values = draw(st.lists(st.sampled_from(VALUES), min_size=len(universe),
+                           max_size=len(universe)))
+    return Attribute.from_mapping(name, universe, dict(zip(universe, values)))
+
+
+@st.composite
+def nonempty_subsets(draw, universe):
+    return frozenset(draw(st.sets(st.sampled_from(universe.elements), min_size=1)))
+
+
+@st.composite
+def universe_attribute_state(draw):
+    universe = draw(universes)
+    return universe, draw(attributes(universe)), draw(nonempty_subsets(universe))
+
+
+def preimage_counts(f, subset):
+    """(value, |f^-1(value) & subset|) for each value met, in value order."""
+    counts = {}
+    for u in subset:
+        counts[f(u)] = counts.get(f(u), 0) + 1
+    return sorted(counts.items(), key=lambda vc: value_order(vc[0]))
+
+
+class TestMeasurement:
+    @LAWS
+    @given(universe_attribute_state())
+    def test_probabilities_are_preimage_shares(self, ufs):
+        u, f, subset = ufs
+        dist = measure_distribution(f, standard_ket(u, subset))
+        assert [(o.value, o.probability) for o in dist.outcomes] == [
+            (v, Fraction(c, len(subset))) for v, c in preimage_counts(f, subset)
+        ]
+        assert sum(o.probability for o in dist.outcomes) == 1
+
+    @LAWS
+    @given(universe_attribute_state())
+    def test_collapses_partition_the_state(self, ufs):
+        u, f, subset = ufs
+        collapses = [o.collapsed.to_subset()
+                     for o in measure_distribution(f, standard_ket(u, subset)).outcomes]
+        assert all(collapses)
+        assert sum(len(c) for c in collapses) == len(frozenset().union(*collapses))
+        assert frozenset().union(*collapses) == subset
+        for o in measure_distribution(f, standard_ket(u, subset)).outcomes:
+            assert o.collapsed.to_subset() == {x for x in subset if f(x) == o.value}
+
+    @LAWS
+    @given(st.data())
+    def test_pythagoras_sides_are_equal(self, data):
+        u, p = data.draw(universe_and(1))
+        subset = data.draw(nonempty_subsets(u))
+        left, right = pythagoras_check(p, standard_ket(u, subset))
+        assert left == right == len(subset)
+        assert right == sum(len(subset & set(b)) for b in p.blocks)
+
+    @LAWS
+    @given(st.data())
+    def test_csca_final_distribution_is_uniform_on_singletons(self, data):
+        u = data.draw(universes)
+        fs = [data.draw(attributes(u, f"f{i}")) for i in range(data.draw(st.integers(1, 3)))]
+        if not is_csca(fs):
+            fs.append(Attribute.from_mapping("d", u, {x: str(i) for i, x in enumerate(u)}))
+        subset = data.draw(nonempty_subsets(u))
+        assert csca_final_distribution(fs, standard_ket(u, subset)) == {
+            frozenset([x]): Fraction(1, len(subset)) for x in subset
+        }
+
+    @LAWS
+    @given(universe_and_bases(1), st.data())
+    def test_other_basis_measures_as_its_standard_form(self, uv, data):
+        u, v = uv
+        f = data.draw(attributes(u))
+        coords = frozenset(data.draw(st.sets(st.sampled_from(v.vector_names), min_size=1)))
+        s = SetKet(v, coords)
+        standard = to_basis(s, standard_basis(u))
+        assert measure_distribution(f, s).outcomes == measure_distribution(f, standard).outcomes
+
+
+def draw_oracle(seed, step):
+    digest = hashlib.blake2b(f"{seed}:{step}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+class TestDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(universe_attribute_state(), st.integers(0, 2**40), st.integers(0, 8))
+    def test_draw_is_first_outcome_past_the_hash(self, ufs, seed, step):
+        u, f, subset = ufs
+        d = draw_oracle(seed, step)
+        cum = 0
+        for value, count in preimage_counts(f, subset):
+            cum += count
+            if d * len(subset) < cum * 2**64:
+                break
+        drawn = measure_sample(f, standard_ket(u, subset), seed, step=step)
+        assert drawn.value == value
+        assert drawn.probability == Fraction(count, len(subset))
+        assert drawn.pre_state.to_subset() == subset
+        assert drawn.post_state.to_subset() == {x for x in subset if f(x) == value}
+
+
+@st.composite
+def scenario_files(draw):
+    """A scenario text using every declaration kind, with `to` paths in {out}."""
+    u, v = draw(universe_and_bases(1))
+    f, g = draw(attributes(u, "f")), draw(attributes(u, "g"))
+    p = draw(partitions(u))
+    labels = list(u)
+    cycle = draw(st.lists(st.sampled_from(labels), unique=True, max_size=3))
+
+    def coords(pool):
+        return "{" + ",".join(draw(st.sets(st.sampled_from(pool), min_size=1))) + "}"
+
+    lines = [
+        f"seed {draw(st.integers(0, 999))}",
+        f"universe U = {' '.join(labels)}",
+        "basis V on U = " + " ".join(
+            f"{n}:{{{','.join(vec)}}}" for n, vec in zip(v.vector_names, v.vectors)),
+        "attribute f on U = " + " ".join(f"{x}:{f(x)}" for x in labels),
+        "attribute g on U = " + " ".join(f"{x}:{g(x)}" for x in labels),
+        "attribute d on U = " + " ".join(f"{x}:{i}" for i, x in enumerate(labels)),
+        f"partition P on U = {p}",
+        f"group G on U = ({' '.join(cycle)})",
+        f"state S on U = {coords(labels)}",
+        f"state T in V = {coords(list(v.vector_names))}",
+        "map M on U = " + " ".join("{" + ",".join(vec) + "}" for vec in v.vectors),
+        "",
+        "ket-table U V to {out}/table.txt", "distribution S", "measure f T",
+        "entropy g", "join P f to {out}/join.txt", "orbits G", "evolve M S",
+        "cascade f g d from S", "lattice U", "pythagoras P S",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def run_cli(path, *flags):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(path), *flags])
+    written = {p.name: p.read_bytes() for p in path.parent.glob("*.txt")}
+    for p in path.parent.glob("*.txt"):
+        p.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+class TestCLIDeterminism:
+    @settings(max_examples=10, deadline=None)
+    @given(scenario_files())
+    def test_same_file_same_bytes(self, text):
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "s.qms"
+            path.write_text(text.replace("{out}", out))
+            for fmt in ("text", "json", "csv"):
+                first = run_cli(path, "--format", fmt)
+                assert first[0] == 0 and len(first[3]) == 2, first
+                assert run_cli(path, "--format", fmt) == first

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qmsets
 from qmsets import (
     ScenarioError,
     Universe,
@@ -207,6 +211,26 @@ class TestRunning:
         out, _ = run_scenario(parse_scenario(text), fmt="json")
         assert json.loads(out)["rows"] == [[[]], [["z"]], [["z", "y"]], [["y"]]]
 
+    def test_equal_numeric_values_ordered_by_text_under_any_hash_seed(self, tmp_path):
+        path = tmp_path / "numeric.qms"
+        path.write_text(
+            "seed 3\nuniverse U = a b c\nattribute f on U = a:1 b:1.0 c:01\n"
+            "attribute g on U = a:x b:y c:z\nstate S on U = {a,b,c}\n"
+            "measure f S\ncascade f g from S\n"
+        )
+        src = str(Path(qmsets.__file__).resolve().parent.parent)
+        outputs = set()
+        for hash_seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from qmsets.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", str(path)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+        assert "01     1/3" in outputs.pop().splitlines()[2]
+
     def test_cascade_ends_in_singleton(self):
         out, _ = run_scenario(parse_scenario(BASIC))
         final_line = [l for l in out.splitlines() if l.startswith("final =")][0]
@@ -282,6 +306,14 @@ class TestMainExitCodes:
         bad.write_text("universe U = a a\n")
         assert main([str(bad)]) == 2
         assert "qmsets:" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_a_parse_error_on_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qms"
+        bad.write_bytes(b"universe U = a b\nstate S on U = {a}\n# caf\xff\ndistribution S\n")
+        assert main([str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qmsets: line 3: ")
 
     def test_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "empty_state.qms"

@@ -16,3 +16,17 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_every_command_has_a_handler():
+    from qmsets.cli import _Runner
+    from qmsets.scenario import COMMANDS
+
+    handlers = {name[len("_cmd_"):] for name in vars(_Runner) if name.startswith("_cmd_")}
+    assert handlers == {kind.replace("-", "_") for kind in COMMANDS}
+
+
+def test_every_declaration_kind_has_a_pool():
+    from qmsets.scenario import _DECLARATIONS, _POOLS
+
+    assert _DECLARATIONS.keys() == _POOLS.keys()
