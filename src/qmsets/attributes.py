@@ -8,7 +8,7 @@ numeric tokens.  Numerically equal tokens, such as ``1``, ``1.0`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
@@ -22,7 +22,8 @@ def value_sort_key(token: str):
     """Numeric tokens first, compared numerically, then by text; then the
     rest, lexicographic."""
     try:
-        return (0, Fraction(token), token)
+        # int() gives a plain decimal token the value Fraction() would, faster.
+        return (0, int(token) if token.isdecimal() else Fraction(token), token)
     except (ValueError, ZeroDivisionError):
         return (1, Fraction(0), token)
 
@@ -34,12 +35,18 @@ class Attribute:
     name: str
     universe: Universe
     values: tuple[str, ...]  # aligned with universe.elements
+    # value -> preimage mask (bit i = element i), in value_sort_key order
+    _spectrum: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) != len(self.universe):
             raise QmSetsError(
                 f"attribute {self.name!r} must assign a value to every element"
             )
+        spectrum = dict.fromkeys(sorted(set(self.values), key=value_sort_key), 0)
+        for i, v in enumerate(self.values):
+            spectrum[v] |= 1 << i
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @classmethod
     def from_mapping(
@@ -61,20 +68,15 @@ class Attribute:
         return self.values[self.universe.position(label)]
 
     def attained_values(self) -> list[str]:
-        return sorted(set(self.values), key=value_sort_key)
+        return list(self._spectrum)
 
     def preimage(self, value: str) -> frozenset[str]:
-        return frozenset(
-            u for u, v in zip(self.universe.elements, self.values) if v == value
-        )
+        return frozenset(self.universe.labels_of(self._spectrum.get(value, 0)))
 
 
 def inverse_image_partition(f: Attribute) -> SetPartition:
     """Blocks are the nonempty preimages f^-1(r)."""
-    masks: dict[str, int] = {}
-    for i, v in enumerate(f.values):
-        masks[v] = masks.get(v, 0) | 1 << i
-    return SetPartition._from_masks(f.universe, masks.values())
+    return SetPartition._from_masks(f.universe, f._spectrum.values())
 
 
 def compatible(f: Attribute, g: Attribute) -> bool:
@@ -116,7 +118,7 @@ def is_csca(fs: Sequence[Attribute]) -> bool:
 
 def eigen_sets(f: Attribute, r: str) -> list[SetKet]:
     """All nonzero vectors of the eigenspace for value r: nonempty S within f^-1(r)."""
-    support = f.universe.sort_labels(f.preimage(r))
+    support = f.universe.labels_of(f._spectrum.get(r, 0))
     subsets = chain.from_iterable(
         combinations(support, k) for k in range(1, len(support) + 1)
     )

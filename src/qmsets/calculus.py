@@ -23,27 +23,27 @@ from .gf2 import (
     is_nonsingular,
     standard_basis,
     standard_ket,
-    subset_to_bits,
     to_basis,
 )
 from .universe import SetPartition, join as partition_join, require_same_universe
 
 
-def _require_standard(s: SetKet) -> frozenset[str]:
+def _standard_bits(s: SetKet) -> int:
+    """The subset of a standard-basis ket as a bitmask (bit i = element i)."""
     if not s.basis.is_standard:
         raise BasisError(
             "operand must be expressed in the standard basis; convert with to_basis"
         )
-    return s.to_subset()
+    return s._bits()
 
 
 def bracket(t: SetKet, s: SetKet) -> int:
     """Overlap count |T intersect S| for standard-basis kets."""
-    tt = _require_standard(t)
-    ss = _require_standard(s)
+    tt = _standard_bits(t)
+    ss = _standard_bits(s)
     if t.universe != s.universe:
         raise QmSetsError("bracket operands on different universes")
-    return len(tt & ss)
+    return (tt & ss).bit_count()
 
 
 class Norm(NamedTuple):
@@ -53,7 +53,7 @@ class Norm(NamedTuple):
 
 def norm(s: SetKet) -> Norm:
     """sqrt(|S|) together with the exact squared norm |S|."""
-    squared = len(_require_standard(s))
+    squared = _standard_bits(s).bit_count()
     return Norm(math.sqrt(squared), squared)
 
 
@@ -91,18 +91,17 @@ class OutcomeDistribution:
         total = sum((o.probability for o in self.outcomes), Fraction(0))
         if total != 1:
             raise QmSetsError(f"probabilities sum to {total}, not 1")
-        state_set = self.state.to_subset()
-        union: set[str] = set()
+        union = 0
         for o in self.outcomes:
             if o.probability < 0:
                 raise QmSetsError("negative probability")
-            collapsed = o.collapsed.to_subset()
+            collapsed = o.collapsed._bits()
             if not collapsed:
                 raise QmSetsError("empty collapsed state")
             if union & collapsed:
                 raise QmSetsError("collapsed states overlap")
             union |= collapsed
-        if union != state_set:
+        if union != self.state._bits():
             raise QmSetsError("collapsed states do not partition the state")
 
     def probability_of(self, value: str) -> Fraction:
@@ -114,14 +113,14 @@ class OutcomeDistribution:
 
 def born_distribution(s: SetKet) -> OutcomeDistribution:
     """Laplacian equal probability over the singletons of a nonempty state."""
-    subset = _require_standard(s)
-    if not subset:
+    bits = _standard_bits(s)
+    if not bits:
         raise EmptyStateError("cannot condition on the empty state")
     universe = s.universe
-    size = len(subset)
+    size = bits.bit_count()
     outcomes = tuple(
         Outcome(u, Fraction(1, size), standard_ket(universe, [u]))
-        for u in universe.sort_labels(subset)
+        for u in universe.labels_of(bits)
     )
     return OutcomeDistribution(s, outcomes)
 
@@ -133,8 +132,8 @@ class Projection:
     support: frozenset[str]
 
     def __call__(self, s: SetKet) -> SetKet:
-        subset = _require_standard(s)
-        return standard_ket(s.universe, subset & self.support)
+        subset = s.universe.labels_of(_standard_bits(s))
+        return standard_ket(s.universe, self.support.intersection(subset))
 
 
 def spectral_decompose(f: Attribute) -> list[tuple[str, Projection]]:
@@ -155,17 +154,15 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
     require_same_universe(f, s)
     if not s.basis.is_standard:
         s = to_basis(s, standard_basis(f.universe))
-    subset = s.to_subset()
-    if not subset:
+    bits = s._bits()
+    if not bits:
         raise EmptyStateError("cannot measure the empty state")
-    size = len(subset)
+    size = bits.bit_count()
     outcomes = []
-    for r in f.attained_values():
-        inter = f.preimage(r) & subset
-        if inter:
-            outcomes.append(
-                Outcome(r, Fraction(len(inter), size), standard_ket(f.universe, inter))
-            )
+    for r, m in f._spectrum.items():
+        if inter := m & bits:
+            collapsed = standard_ket(f.universe, f.universe.labels_of(inter))
+            outcomes.append(Outcome(r, Fraction(inter.bit_count(), size), collapsed))
     return OutcomeDistribution(s, outcomes)
 
 
@@ -230,7 +227,7 @@ def measure_sample(
 def measurement_join_partition(s: SetKet) -> SetPartition:
     """The partition {S, complement of S}, with an empty block omitted."""
     universe = s.universe
-    bits = subset_to_bits(universe, _require_standard(s))
+    bits = _standard_bits(s)
     full = (1 << len(universe)) - 1
     return SetPartition._from_masks(universe, [m for m in (bits, full ^ bits) if m])
 
@@ -245,7 +242,7 @@ class MeasurementJoin:
 
 
 def measurement_join(f: Attribute, s: SetKet) -> MeasurementJoin:
-    outside = ~subset_to_bits(s.universe, _require_standard(s))
+    outside = ~_standard_bits(s)
     joined = partition_join(measurement_join_partition(s), inverse_image_partition(f))
     labels_of = joined.universe.labels_of
     possible = tuple(labels_of(m) for m in joined.masks if not m & outside)
@@ -256,9 +253,8 @@ def measurement_join(f: Attribute, s: SetKet) -> MeasurementJoin:
 def pythagoras_check(p: SetPartition, s: SetKet) -> tuple[int, int]:
     """(|S|, sum over blocks of |B & S|); equal for every partition."""
     require_same_universe(p, s)
-    subset = _require_standard(s)
-    bits = subset_to_bits(p.universe, subset)
-    return len(subset), sum((m & bits).bit_count() for m in p.masks)
+    bits = _standard_bits(s)
+    return bits.bit_count(), sum((m & bits).bit_count() for m in p.masks)
 
 
 def evolve(m: LinearMap, s: SetKet) -> SetKet:

@@ -25,10 +25,11 @@ Grammar (one statement per line, ``#`` starts a comment):
 
 Any command may end with ``to <path>`` to write its output to a file, each
 path at most once.  Every referenced name must be declared on an earlier
-line, and names are unique per kind.  An argument that names two of the
-kinds it may take is a parse error (exit 2); operands on different universes
-are a runtime error (exit 3).  A seed is required when a sampling command
-(cascade) appears.
+line, and names are unique per kind.  A name appears at most once in a brace
+set, and a ``key:value`` entry needs both parts.  An argument that names two
+of the kinds it may take is a parse error (exit 2); operands on different
+universes are a runtime error (exit 3).  A seed is required when a sampling
+command (cascade) appears.
 """
 
 from __future__ import annotations
@@ -136,7 +137,11 @@ def _parse_subset(text: str) -> list[str]:
     inner = text[1:-1].strip()
     if not inner:
         return []
-    return [s.strip() for s in inner.split(",")]
+    names = [s.strip() for s in inner.split(",")]
+    if len(set(names)) < len(names):
+        repeated = next(x for i, x in enumerate(names) if x in names[:i])
+        raise ScenarioError(f"{repeated!r} appears twice in {text!r}")
+    return names
 
 
 def _parse_cycles(text: str) -> list[list[str]]:
@@ -148,11 +153,12 @@ def _parse_cycles(text: str) -> list[list[str]]:
 
 
 def _entries(body: str, usage: str):
-    """The (key, value) of each "key:value" chunk, checked as it is reached."""
+    """The nonempty (key, value) of each "key:value" chunk, checked as it is reached."""
     for chunk in body.split():
-        if ":" not in chunk:
+        key, _, value = chunk.partition(":")
+        if not (key and value):
             raise ScenarioError(f"{usage}, got {chunk!r}")
-        yield chunk.split(":", 1)
+        yield key, value
 
 
 def _universe(name: str, home: None, body: str):

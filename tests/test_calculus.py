@@ -9,6 +9,8 @@ from qmsets import (
     CompatibilityError,
     EmptyStateError,
     LinearMap,
+    Outcome,
+    OutcomeDistribution,
     QmSetsError,
     SetKet,
     SetPartition,
@@ -388,3 +390,46 @@ class TestCsca:
         born = born_distribution(s)
         for o in born.outcomes:
             assert final[frozenset([o.value])] == o.probability
+
+
+def _distribution(universe, state, outcomes):
+    """An OutcomeDistribution built through its public constructor from
+    (value, probability, collapsed labels) triples."""
+    return OutcomeDistribution(
+        standard_ket(universe, state),
+        tuple(Outcome(v, Fraction(p), standard_ket(universe, c)) for v, p, c in outcomes),
+    )
+
+
+class TestOutcomeDistributionChecks:
+    def test_valid_distribution_builds(self, u3):
+        dist = _distribution(u3, "abc", [("1", "2/3", "ab"), ("2", "1/3", "c")])
+        assert dist.probability_of("1") == Fraction(2, 3)
+
+    def test_probabilities_must_sum_to_one(self, u3):
+        with pytest.raises(QmSetsError) as exc:
+            _distribution(u3, "ab", [("1", "1/2", "a")])
+        assert str(exc.value) == "probabilities sum to 1/2, not 1"
+
+    def test_negative_probability(self, u3):
+        with pytest.raises(QmSetsError) as exc:
+            _distribution(u3, "ab", [("1", "3/2", "a"), ("2", "-1/2", "b")])
+        assert str(exc.value) == "negative probability"
+
+    def test_empty_collapse(self, u3):
+        with pytest.raises(QmSetsError) as exc:
+            _distribution(u3, "a", [("1", "1", "")])
+        assert str(exc.value) == "empty collapsed state"
+
+    def test_overlapping_collapses(self, u3):
+        with pytest.raises(QmSetsError) as exc:
+            _distribution(u3, "ab", [("1", "1/2", "a"), ("2", "1/2", "ab")])
+        assert str(exc.value) == "collapsed states overlap"
+
+    @pytest.mark.parametrize("collapses", [["a"], ["a", "c"]])
+    def test_collapses_must_cover_the_state(self, u3, collapses):
+        # One collapse leaves b out; the other also reaches c outside the state.
+        share = str(Fraction(1, len(collapses)))
+        with pytest.raises(QmSetsError) as exc:
+            _distribution(u3, "ab", [(str(i), share, c) for i, c in enumerate(collapses)])
+        assert str(exc.value) == "collapsed states do not partition the state"

@@ -47,10 +47,12 @@ from qmsets import (
     pythagoras_check,
     refines,
     run_scenario,
+    spectral_decompose,
     standard_basis,
     standard_ket,
     to_basis,
 )
+from qmsets.attributes import value_sort_key
 from qmsets.cli import main
 
 from conftest import UnionFind
@@ -374,6 +376,47 @@ class TestMeasurement:
         s = SetKet(v, coords)
         standard = to_basis(s, standard_basis(u))
         assert measure_distribution(f, s).outcomes == measure_distribution(f, standard).outcomes
+
+
+# Numerically equal tokens in several spellings, other numbers, and text.
+SPECTRUM_VALUES = ["1", "1.0", "01", "2", "-3", "1/2", "10", "x", "y", "xy"]
+
+
+@st.composite
+def universe_and_values(draw):
+    universe = draw(universes)
+    values = draw(st.lists(st.sampled_from(SPECTRUM_VALUES), min_size=len(universe),
+                           max_size=len(universe)))
+    return universe, values
+
+
+class TestSpectrum:
+    @LAWS
+    @given(universe_and_values())
+    def test_spectrum_is_the_preimages_in_value_order(self, uv):
+        u, values = uv
+        f = Attribute.from_mapping("f", u, dict(zip(u, values)))
+        assert f.attained_values() == sorted(set(values), key=value_sort_key)
+        for r in SPECTRUM_VALUES + ["unattained"]:
+            assert f.preimage(r) == frozenset(x for x, v in zip(u, values) if v == r)
+        spectrum = spectral_decompose(f)
+        assert [r for r, _ in spectrum] == f.attained_values()
+        supports = [projection.support for _, projection in spectrum]
+        assert all(supports)
+        assert sum(len(s) for s in supports) == len(u)
+        assert frozenset().union(*supports) == frozenset(u)
+
+    @LAWS
+    @given(universe_and_values())
+    def test_equal_attributes_are_equal_hash_alike_and_print_alike(self, uv):
+        u, values = uv
+        f = Attribute.from_mapping("f", u, dict(zip(u, values)))
+        g = Attribute("f", Universe.of(list(u)), tuple(values))
+        assert f == g
+        assert hash(f) == hash(g)
+        assert repr(f) == repr(g) == (
+            f"Attribute(name='f', universe={u!r}, values={tuple(values)!r})"
+        )
 
 
 def draw_oracle(seed, step):

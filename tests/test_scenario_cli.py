@@ -346,6 +346,49 @@ class TestMainExitCodes:
         assert "line 4" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("declaration", [
+        "attribute f on U = a: b:2 c:2",
+        "attribute f on U = :1 b:2 c:2",
+        "basis B on U = x:{a} :{b} z:{c}",
+    ])
+    def test_empty_key_or_value_is_a_parse_error(self, tmp_path, capsys, declaration):
+        bad = tmp_path / "empty.qms"
+        bad.write_text(f"universe U = a b c\n{declaration}\n")
+        assert main([str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qmsets: line 2: ")
+        assert "needs" in captured.err
+
+    @pytest.mark.parametrize("declaration, name", [
+        ("basis B on U = x:{a,a} y:{b} z:{c}", "a"),
+        ("basis B on U = x:{a} y:{b} z:{c}\nstate S in B = {x, x}", "x"),
+        ("state S on U = {b,c,b}", "b"),
+        ("map M on U = {b} {a} {c,c}", "c"),
+    ])
+    def test_repeated_name_in_a_set_is_a_parse_error(
+        self, tmp_path, capsys, declaration, name
+    ):
+        bad = tmp_path / "repeated.qms"
+        text = f"universe U = a b c\n{declaration}\n"
+        bad.write_text(text)
+        assert main([str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = text.count("\n")
+        assert captured.err.startswith(f"qmsets: line {line}: {name!r} appears twice")
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        path = str(SCENARIO_DIR / "measurement.qms")
+        assert main([path]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(qmsets.__file__).resolve().parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-m", "qmsets", path],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, expected, "")
+
     def test_identical_runs_byte_identical(self, capsys):
         path = str(SCENARIO_DIR / "measurement.qms")
         assert main([path]) == 0
