@@ -17,10 +17,12 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from typing import Callable
 
 from . import calculus, universe as up
-from .errors import QmSetsError, ScenarioError
+from .errors import BoundError, QmSetsError, ScenarioError
 from .gf2 import DEFAULT_KET_TABLE_BOUND, _ket_masks
 from .group_action import orbit_partition
 from .scenario import Command, Scenario, parse_scenario
@@ -97,19 +99,20 @@ class _Runner:
         else:
             self.chunks.append(text)
 
-    def table(self, cmd: Command, title: str, rows: list[list[str]], record: dict) -> None:
+    # rows, text and record are thunks: only the form the format prints is built.
+    def table(self, cmd: Command, title: str, rows: Callable, record: Callable) -> None:
         if self.fmt == "csv":
-            self.emit(cmd, _csv_str(rows))
+            self.emit(cmd, _csv_str(rows()))
         elif self.fmt == "json":
-            self.emit(cmd, json.dumps(record, sort_keys=True))
+            self.emit(cmd, json.dumps(record(), sort_keys=True))
         else:
-            self.emit(cmd, title + "\n" + _aligned(rows) if title else _aligned(rows))
+            self.emit(cmd, title + "\n" + _aligned(rows()) if title else _aligned(rows()))
 
-    def line(self, cmd: Command, text: str, record: dict) -> None:
+    def line(self, cmd: Command, text: Callable, record: Callable) -> None:
         if self.fmt == "json":
-            self.emit(cmd, json.dumps(record, sort_keys=True))
+            self.emit(cmd, json.dumps(record(), sort_keys=True))
         else:
-            self.emit(cmd, text)
+            self.emit(cmd, text())
 
     def run_command(self, cmd: Command) -> None:
         handler = getattr(self, "_cmd_" + cmd.kind.replace("-", "_"))
@@ -125,32 +128,41 @@ class _Runner:
             for name in b.vector_names:
                 ns.extend([x + (name,) for x in ns])
         header = [f"{b.name} = {braced(b.vector_names)}" for b in bases]
-        cells = [header] + [[braced(ns[c]) for ns, c in zip(names, row)] for row in rows]
-        record = {
-            "command": "ket-table",
-            "bases": [b.name for b in bases],
-            "rows": [[ns[c] for ns, c in zip(names, row)] for row in rows],
-        }
-        self.table(cmd, "", cells, record)
+        if self.fmt != "text":
+            self.table(
+                cmd, "",
+                lambda: [header] + [[braced(ns[c]) for ns, c in zip(names, row)] for row in rows],
+                lambda: {"command": "ket-table", "bases": [b.name for b in bases],
+                         "rows": [[ns[c] for ns, c in zip(names, row)] for row in rows]},
+            )
+            return
+        # Each column padded once, to its header or its widest cell (all names).
+        widths = [max(len(h), len(braced(ns[-1]))) for h, ns in zip(header, names)]
+        cols = [[braced(x).ljust(w) for x in ns] for ns, w in zip(names, widths)]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
+        lines += ["  ".join([col[c] for col, c in zip(cols, row)]).rstrip() for row in rows]
+        self.emit(cmd, "\n".join(lines))
 
     def _outcome_table(
         self, cmd: Command, title: str, dist: calculus.OutcomeDistribution, **names: str
     ) -> None:
-        rows = [["value", "probability", "decimal", "collapsed"]]
-        for o in dist.outcomes:
-            rows.append(
-                [o.value, _fraction_str(o.probability), _decimal_str(o.probability), str(o.collapsed)]
-            )
-        record = {
-            "command": cmd.kind,
-            **names,
-            "outcomes": [
-                {"value": o.value, "probability": _fraction_str(o.probability),
-                 "collapsed": sorted(o.collapsed.to_subset())}
+        self.table(
+            cmd, title,
+            lambda: [["value", "probability", "decimal", "collapsed"]] + [
+                [o.value, _fraction_str(o.probability), _decimal_str(o.probability),
+                 str(o.collapsed)]
                 for o in dist.outcomes
             ],
-        }
-        self.table(cmd, title, rows, record)
+            lambda: {
+                "command": cmd.kind,
+                **names,
+                "outcomes": [
+                    {"value": o.value, "probability": _fraction_str(o.probability),
+                     "collapsed": sorted(o.collapsed.to_subset())}
+                    for o in dist.outcomes
+                ],
+            },
+        )
 
     def _cmd_distribution(self, cmd: Command) -> None:
         (state,) = cmd.values
@@ -172,17 +184,17 @@ class _Runner:
         h = up.logical_entropy(part)
         self.line(
             cmd,
-            f"entropy {cmd.args[0]} = {_fraction_str(h)} ({_decimal_str(h)})",
-            {"command": "entropy", "name": cmd.args[0],
-             "entropy": _fraction_str(h), "partition": str(part)},
+            lambda: f"entropy {cmd.args[0]} = {_fraction_str(h)} ({_decimal_str(h)})",
+            lambda: {"command": "entropy", "name": cmd.args[0],
+                     "entropy": _fraction_str(h), "partition": str(part)},
         )
 
     def _cmd_join(self, cmd: Command) -> None:
         joined = up.join(*cmd.values)
         self.line(
             cmd,
-            f"join {cmd.args[0]} {cmd.args[1]} = {joined}",
-            {"command": "join", "operands": list(cmd.args), "partition": str(joined)},
+            lambda: f"join {cmd.args[0]} {cmd.args[1]} = {joined}",
+            lambda: {"command": "join", "operands": list(cmd.args), "partition": str(joined)},
         )
 
     def _cmd_orbits(self, cmd: Command) -> None:
@@ -190,9 +202,9 @@ class _Runner:
         part = orbit_partition(group)
         self.line(
             cmd,
-            f"orbits {cmd.args[0]} = {part} (order {len(group)})",
-            {"command": "orbits", "group": cmd.args[0],
-             "partition": str(part), "order": len(group)},
+            lambda: f"orbits {cmd.args[0]} = {part} (order {len(group)})",
+            lambda: {"command": "orbits", "group": cmd.args[0],
+                     "partition": str(part), "order": len(group)},
         )
 
     def _cmd_evolve(self, cmd: Command) -> None:
@@ -200,38 +212,35 @@ class _Runner:
         result = calculus.evolve(m, state)
         self.line(
             cmd,
-            f"evolve {cmd.args[0]} {cmd.args[1]} = {result}",
-            {"command": "evolve", "map": cmd.args[0], "state": cmd.args[1],
-             "result": str(result)},
+            lambda: f"evolve {cmd.args[0]} {cmd.args[1]} = {result}",
+            lambda: {"command": "evolve", "map": cmd.args[0], "state": cmd.args[1],
+                     "result": str(result)},
         )
 
     def _cmd_cascade(self, cmd: Command) -> None:
         *attr_names, state_name = cmd.args
         *attrs, state = cmd.values
         record = calculus.csca_measure(attrs, state, self.sc.seed)
-        lines = [f"cascade {' '.join(attr_names)} from {state_name} (seed {self.sc.seed})"]
-        for i, step in enumerate(record.steps):
-            lines.append(
-                f"step {i}: {step.attribute} -> {step.value}  "
-                f"pre={step.pre_state} post={step.post_state} "
-                f"p={_fraction_str(step.probability)}"
-            )
-        lines.append(
-            f"final = {record.final_state} tuple=({','.join(record.value_tuple)}) "
-            f"p={_fraction_str(record.path_probability)}"
-        )
         self.line(
             cmd,
-            "\n".join(lines),
-            {"command": "cascade", "attributes": attr_names, "state": state_name,
-             "seed": self.sc.seed,
-             "steps": [
-                 {"attribute": s.attribute, "value": s.value,
-                  "pre": str(s.pre_state), "post": str(s.post_state),
-                  "probability": _fraction_str(s.probability)}
-                 for s in record.steps
-             ],
-             "final": str(record.final_state)},
+            lambda: "\n".join(
+                [f"cascade {' '.join(attr_names)} from {state_name} (seed {self.sc.seed})"]
+                + [f"step {i}: {step.attribute} -> {step.value}  "
+                   f"pre={step.pre_state} post={step.post_state} "
+                   f"p={_fraction_str(step.probability)}"
+                   for i, step in enumerate(record.steps)]
+                + [f"final = {record.final_state} tuple=({','.join(record.value_tuple)}) "
+                   f"p={_fraction_str(record.path_probability)}"]
+            ),
+            lambda: {"command": "cascade", "attributes": attr_names, "state": state_name,
+                     "seed": self.sc.seed,
+                     "steps": [
+                         {"attribute": s.attribute, "value": s.value,
+                          "pre": str(s.pre_state), "post": str(s.post_state),
+                          "probability": _fraction_str(s.probability)}
+                         for s in record.steps
+                     ],
+                     "final": str(record.final_state)},
         )
 
     def _cmd_lattice(self, cmd: Command) -> None:
@@ -240,21 +249,20 @@ class _Runner:
         text = lattice_render(universe, bound=bound)
         self.line(
             cmd,
-            f"lattice {cmd.args[0]}\n{text}",
-            {"command": "lattice", "universe": cmd.args[0], "diagram": text},
+            lambda: f"lattice {cmd.args[0]}\n{text}",
+            lambda: {"command": "lattice", "universe": cmd.args[0], "diagram": text},
         )
 
     def _cmd_pythagoras(self, cmd: Command) -> None:
         part, state = cmd.values
         left, right = calculus.pythagoras_check(part, state)
-        subset = state.to_subset()
-        terms = [len(subset.intersection(b)) for b in part.blocks]
+        bits = state._bits()
+        terms = " + ".join(str((m & bits).bit_count()) for m in part.masks)
         self.line(
             cmd,
-            f"pythagoras {cmd.args[0]} {cmd.args[1]}: "
-            f"|S|^2 = {left} = {' + '.join(str(t) for t in terms)} = {right}",
-            {"command": "pythagoras", "partition": cmd.args[0],
-             "state": cmd.args[1], "left": left, "right": right},
+            lambda: f"pythagoras {cmd.args[0]} {cmd.args[1]}: |S|^2 = {left} = {terms} = {right}",
+            lambda: {"command": "pythagoras", "partition": cmd.args[0],
+                     "state": cmd.args[1], "left": left, "right": right},
         )
 
 
@@ -273,30 +281,35 @@ def run_scenario(
         try:
             runner.run_command(cmd)
         except QmSetsError as exc:
-            raise QmSetsError(
-                f"line {cmd.line}: {cmd.kind}: {exc}"
-            ) from exc
+            hint = ""
+            if isinstance(exc, BoundError) and exc.size is not None:
+                hint = f" (--bound {exc.size} lifts it)"
+            raise QmSetsError(f"line {cmd.line}: {cmd.kind}: {exc}{hint}") from exc
     text = "\n".join(runner.chunks)
     if text:
         text += "\n"
     return text, runner.file_outputs
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmsets",
         description="Run a scenario file of set-level quantum computations.",
     )
     parser.add_argument("scenario", help="path to a scenario file")
     parser.add_argument("--format", choices=FORMATS, default="text")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario's seed")
+    parser.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
     parser.add_argument("--paper-order", action="store_true",
                         help="ket-table rows by descending cardinality, empty set last")
     parser.add_argument("--bound", type=int, default=None,
                         help="override enumeration bounds (lattice, ket-table)")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 

@@ -14,7 +14,12 @@ class BasisError(QmSetsError):
 
 
 class BoundError(QmSetsError):
-    """A configured enumeration bound was exceeded."""
+    """A configured enumeration bound was exceeded; `size`, when known, is the
+    smallest bound that admits the input."""
+
+    def __init__(self, message: str, size: int | None = None):
+        self.size = size
+        super().__init__(message)
 
 
 class EmptyStateError(QmSetsError):

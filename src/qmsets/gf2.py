@@ -9,6 +9,7 @@ Ket tables are built as coordinate masks and rendered from them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import BasisError, BoundError, CompatibilityError
@@ -216,18 +217,6 @@ def to_basis(s: SetKet, target: Basis) -> SetKet:
     return SetKet(target, target.coords_of(gf2_solve(target.vector_bits(), s._bits())))
 
 
-def _paper_order_key(universe: Universe, bits: int):
-    # Descending cardinality, ties broken by alternating-sign colex on the
-    # element positions; reproduces the canonical three-basis table layout.
-    positions = sorted(
-        (i for i in range(len(universe)) if (bits >> i) & 1), reverse=True
-    )
-    key = [-len(positions)]
-    for i, p in enumerate(positions):
-        key.append(p if i % 2 == 0 else -p)
-    return tuple(key)
-
-
 def _coordinate_table(basis: Basis) -> list[int]:
     """coords[m] is the coordinate mask, in `basis`, of the subset with bits m.
 
@@ -249,6 +238,22 @@ def _coordinate_table(basis: Basis) -> list[int]:
     return coords
 
 
+def _paper_masks(n: int) -> list[int]:
+    """All subsets of n positions in the canonical three-basis table layout:
+    descending cardinality, then by highest position ascending, next highest
+    descending, and so on, alternating (alternating-sign colex)."""
+
+    @cache
+    def level(k: int, limit: int, ascending: bool) -> tuple[int, ...]:
+        if not k:
+            return (0,)
+        tops = range(k - 1, limit)
+        return tuple((1 << p) | m for p in (tops if ascending else reversed(tops))
+                     for m in level(k - 1, p, not ascending))
+
+    return [m for k in range(n, -1, -1) for m in level(k, n, True)]
+
+
 def _ket_masks(bases: Sequence[Basis], paper_order: bool, bound: int) -> list[tuple]:
     """The rows of the ket table, each the coordinate masks of one vector."""
     if not bases:
@@ -259,11 +264,9 @@ def _ket_masks(bases: Sequence[Basis], paper_order: bool, bound: int) -> list[tu
             raise CompatibilityError("all bases must share one universe")
     n = len(universe)
     if n > bound:
-        raise BoundError(f"universe size {n} exceeds ket-table bound {bound}")
+        raise BoundError(f"universe size {n} exceeds ket-table bound {bound}", size=n)
     tables = [_coordinate_table(b) for b in bases]
-    masks = list(range(1 << n))
-    if paper_order:
-        masks.sort(key=lambda m: _paper_order_key(universe, m))
+    masks = _paper_masks(n) if paper_order else range(1 << n)
     return list(zip(*([table[m] for m in masks] for table in tables)))
 
 

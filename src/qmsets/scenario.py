@@ -26,10 +26,10 @@ Grammar (one statement per line, ``#`` starts a comment):
 Any command may end with ``to <path>`` to write its output to a file, each
 path at most once.  Every referenced name must be declared on an earlier
 line, and names are unique per kind.  A name appears at most once in a brace
-set, and a ``key:value`` entry needs both parts.  An argument that names two
-of the kinds it may take is a parse error (exit 2); operands on different
-universes are a runtime error (exit 3).  A seed is required when a sampling
-command (cascade) appears.
+set, a partition block included, and a ``key:value`` entry needs both parts.
+An argument that names two of the kinds it may take is a parse error (exit
+2); operands on different universes are a runtime error (exit 3).  A seed is
+required when a sampling command (cascade) appears.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .attributes import Attribute, inverse_image_partition
 from .errors import QmSetsError, ScenarioError
 from .gf2 import Basis, LinearMap, SetKet, check_basis, standard_basis
 from .group_action import Permutation, TransformationGroup, generate_group
-from .universe import SetPartition, Universe, braced
+from .universe import SetPartition, Universe, _brace_names, braced
 
 # The argument kinds of each command: "a|b" takes a name of either kind, and
 # a trailing "..." takes one or more names.
@@ -134,14 +134,7 @@ def _parse_subset(text: str) -> list[str]:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ScenarioError(f"expected a brace-delimited set, got {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    names = [s.strip() for s in inner.split(",")]
-    if len(set(names)) < len(names):
-        repeated = next(x for i, x in enumerate(names) if x in names[:i])
-        raise ScenarioError(f"{repeated!r} appears twice in {text!r}")
-    return names
+    return _brace_names(text)
 
 
 def _parse_cycles(text: str) -> list[list[str]]:

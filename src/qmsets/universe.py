@@ -80,6 +80,16 @@ def braced(names: Iterable[str]) -> str:
     return "{" + ",".join(names) + "}"
 
 
+def _brace_names(text: str) -> list[str]:
+    """The names inside a brace set such as ``{a,b}``, each at most once."""
+    inner = text[1:-1].strip()
+    names = [s.strip() for s in inner.split(",")] if inner else []
+    if len(set(names)) < len(names):
+        repeated = next(x for i, x in enumerate(names) if x in names[:i])
+        raise QmSetsError(f"{repeated!r} appears twice in {text!r}")
+    return names
+
+
 def require_same_universe(a, b) -> None:
     if a.universe != b.universe:
         raise CompatibilityError(
@@ -156,8 +166,7 @@ class SetPartition:
             chunk = chunk.strip()
             if not (chunk.startswith("{") and chunk.endswith("}")):
                 raise QmSetsError(f"malformed block {chunk!r}")
-            inner = chunk[1:-1].strip()
-            blocks.append([s.strip() for s in inner.split(",")] if inner else [])
+            blocks.append(_brace_names(chunk))
         return cls.from_blocks(universe, blocks)
 
 
@@ -250,9 +259,7 @@ def enumerate_partitions(
     """
     n = len(universe)
     if n > bound:
-        raise BoundError(
-            f"universe size {n} exceeds enumeration bound {bound}"
-        )
+        raise BoundError(f"universe size {n} exceeds enumeration bound {bound}", size=n)
     rows: list[tuple[int, ...]] = [()]
     for i in range(n):
         bit = 1 << i

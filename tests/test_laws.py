@@ -9,12 +9,14 @@ oracles here (Bell numbers, pair counting, union-find, XOR of label sets,
 counting preimages, the blake2b draw) share no code with qmsets.
 """
 
+import csv
 import hashlib
 import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cmp_to_key
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,41 @@ def in_basis_order(basis, coords):
     return sorted(coords, key=basis.vector_names.index)
 
 
+def paper_cmp(a, b):
+    """Paper order on position lists, each highest position first: the larger
+    set first; then at the first level where they differ, the smaller
+    position first at even levels and the larger at odd ones."""
+    if len(a) != len(b):
+        return len(b) - len(a)
+    for level, (p, q) in enumerate(zip(a, b)):
+        if p != q:
+            return p - q if level % 2 == 0 else q - p
+    return 0
+
+
+def paper_order_subsets(universe):
+    """Every subset of the universe, as a frozenset of labels, in paper order."""
+    n = len(universe)
+    tops = [[p for p in reversed(range(n)) if (m >> p) & 1] for m in range(2 ** n)]
+    return [frozenset(universe.elements[p] for p in t)
+            for t in sorted(tops, key=cmp_to_key(paper_cmp))]
+
+
+def coordinates(basis):
+    """Each subset's coordinate names in `basis`, found by expanding every name set."""
+    names = basis.vector_names
+    table = {}
+    for c in range(2 ** len(names)):
+        coords = [x for j, x in enumerate(names) if (c >> j) & 1]
+        table[expand(basis, coords)] = coords
+    return table
+
+
+universes_to_8 = st.lists(
+    st.text(alphabet="abcxyz019_'", min_size=1, max_size=3), min_size=1, max_size=8, unique=True
+).map(Universe.of)
+
+
 class TestGF2:
     @LAWS
     @given(universe_and_bases(2), st.booleans())
@@ -262,6 +299,30 @@ class TestGF2:
         out, _ = run_scenario(scenario, fmt="text", paper_order=paper_order)
         cells = [line.split() for line in out.splitlines()[1:]]
         assert cells == [["{" + ",".join(c) + "}" for c in row] for row in expected]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_paper_order_rows_follow_the_oracle(self, data):
+        u = data.draw(universes_to_8)
+        v, w = data.draw(bases(u, "V")), data.draw(bases(u, "W"))
+        expected = [[coordinates(b)[s] for b in (standard_basis(u), v, w)]
+                    for s in paper_order_subsets(u)]
+        rows = ket_table([standard_basis(u), v, w], paper_order=True)
+        assert [[in_basis_order(k.basis, k.coords) for k in row] for row in rows] == expected
+        scenario = parse_scenario(
+            f"universe U = {' '.join(u)}\n" + "".join(
+                f"basis {b.name} on U = " + " ".join(
+                    f"{n}:{{{','.join(vec)}}}" for n, vec in zip(b.vector_names, b.vectors))
+                + "\n" for b in (v, w)
+            ) + "ket-table U V W\n"
+        )
+        cells = [["{" + ",".join(c) + "}" for c in row] for row in expected]
+        out, _ = run_scenario(scenario, fmt="json", paper_order=True)
+        assert json.loads(out)["rows"] == expected
+        out, _ = run_scenario(scenario, fmt="csv", paper_order=True)
+        assert list(csv.reader(io.StringIO(out)))[1:] == cells
+        out, _ = run_scenario(scenario, fmt="text", paper_order=True)
+        assert [line.split() for line in out.splitlines()[1:]] == cells
 
     @LAWS
     @given(universe_and_bases(2), st.data())
@@ -496,3 +557,36 @@ class TestCLIDeterminism:
                 first = run_cli(path, "--format", fmt)
                 assert first[0] == 0 and len(first[3]) == 2, first
                 assert run_cli(path, "--format", fmt) == first
+
+    @settings(max_examples=25, deadline=None)
+    @given(scenario_files())
+    def test_formats_carry_the_same_values(self, text):
+        # The generated declarations, then one command per output key.
+        declarations = text.split("\n\n")[0]
+        commands = ("distribution S to d", "measure f T to m", "entropy g to e",
+                    "join P f to j", "pythagoras P S to p")
+        scenario = parse_scenario(declarations + "\n\n" + "\n".join(commands) + "\n")
+        out = {fmt: run_scenario(scenario, fmt=fmt)[1] for fmt in ("text", "csv", "json")}
+        for key in "dm":
+            text_rows = [line.split() for line in out["text"][key].splitlines()[1:]]
+            csv_rows = list(csv.reader(io.StringIO(out["csv"][key])))
+            assert text_rows == csv_rows
+            assert csv_rows[0] == ["value", "probability", "decimal", "collapsed"]
+            record = json.loads(out["json"][key])
+            assert [[o["value"], o["probability"], f"{float(Fraction(o['probability'])):.6f}",
+                     sorted(o["collapsed"])] for o in record["outcomes"]] == [
+                [value, p, decimal, sorted(collapsed[1:-1].split(",") if collapsed != "{}" else [])]
+                for value, p, decimal, collapsed in csv_rows[1:]
+            ]
+        for fmt in ("text", "csv"):
+            entropy = json.loads(out["json"]["e"])["entropy"]
+            h = Fraction(entropy)
+            assert out[fmt]["e"] == f"entropy g = {entropy} ({float(h):.6f})\n"
+            partition = json.loads(out["json"]["j"])["partition"]
+            assert out[fmt]["j"] == f"join P f = {partition}\n"
+            record = json.loads(out["json"]["p"])
+            head, _, tail = out[fmt]["p"].rstrip("\n").partition(": |S|^2 = ")
+            left, terms, right = tail.split(" = ")
+            assert head == "pythagoras P S"
+            assert (int(left), int(right)) == (record["left"], record["right"])
+            assert sum(int(t) for t in terms.split(" + ")) == record["right"]

@@ -378,6 +378,30 @@ class TestMainExitCodes:
         line = text.count("\n")
         assert captured.err.startswith(f"qmsets: line {line}: {name!r} appears twice")
 
+    def test_repeated_label_in_a_partition_block_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "repeated.qms"
+        bad.write_text("universe U = a b c\npartition P on U = {a,a}|{b}|{c}\nentropy P\n")
+        assert main([str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qmsets: line 2: 'a' appears twice in '{a,a}'\n"
+
+    @pytest.mark.parametrize("command, size, hint", [
+        ("lattice U", 7, "exceeds enumeration bound 6 (--bound 7 lifts it)"),
+        ("ket-table U", 11, "exceeds ket-table bound 10 (--bound 11 lifts it)"),
+    ])
+    def test_bound_error_names_the_flag_that_lifts_it(
+        self, tmp_path, capsys, command, size, hint
+    ):
+        path = tmp_path / "big.qms"
+        path.write_text(f"universe U = {' '.join(f'x{i}' for i in range(size))}\n{command}\n")
+        assert main([str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qmsets: line 2: {command.split()[0]}: universe size {size} {hint}\n"
+        assert main([str(path), "--bound", str(size), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == command.split()[0]
+
     def test_python_dash_m_runs_the_cli(self, capsys):
         path = str(SCENARIO_DIR / "measurement.qms")
         assert main([path]) == 0
