@@ -18,17 +18,11 @@ from .universe import Universe, braced
 DEFAULT_KET_TABLE_BOUND = 10
 
 
-def subset_to_bits(universe: Universe, labels: Iterable[str]) -> int:
-    bits = 0
-    for label in labels:
-        bits |= 1 << universe.position(label)
-    return bits
+subset_to_bits = Universe.mask_of  # (universe, labels); an alias saves a frame per call
 
 
 def bits_to_subset(universe: Universe, bits: int) -> frozenset[str]:
-    return frozenset(
-        u for i, u in enumerate(universe.elements) if (bits >> i) & 1
-    )
+    return frozenset(universe.labels_of(bits))
 
 
 def _echelon(vectors: Sequence[int]) -> tuple[dict[int, tuple[int, int]], int | None]:

@@ -188,12 +188,9 @@ def orbit_partition(g: TransformationGroup) -> SetPartition:
         span = None
     if span != g.elements:
         raise GroupError("not a group: its elements generate a different set")
-    positions = g.universe.positions
-    orbits = [0] * len(g.universe)
-    for t in g:
-        for i, v in enumerate(t.images):
-            orbits[i] |= 1 << positions[v]
-    return SetPartition._from_masks(g.universe, set(orbits))
+    # Orbit i is column i of the image tuples: {t(u_i) : t in G}.
+    orbits = set(map(g.universe.mask_of, zip(*(t.images for t in g))))
+    return SetPartition._from_masks(g.universe, orbits)
 
 
 def is_invariant(g: TransformationGroup, s: SetKet) -> bool:

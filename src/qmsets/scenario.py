@@ -29,7 +29,9 @@ line, and names are unique per kind.  A name appears at most once in a brace
 set, a partition block included, and a ``key:value`` entry needs both parts.
 An argument that names two of the kinds it may take is a parse error (exit
 2); operands on different universes are a runtime error (exit 3).  A seed is
-required when a sampling command (cascade) appears.
+required when a sampling command (cascade) appears, and is an error on the
+first such command's line when missing; a second ``seed`` line is an error on
+its own line.  One leading UTF-8 byte-order mark is ignored.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ class Scenario:
     maps: dict[str, LinearMap] = field(default_factory=dict)
     commands: list[Command] = field(default_factory=list)
     decl_lines: list[str] = field(default_factory=list)
+    # The standard basis of each universe, built once where it is declared.
+    standard_bases: dict[str, Basis] = field(default_factory=dict, compare=False)
 
     def lookup(self, name: str, kinds: str, line: int):
         """The value of `name`, declared as exactly one of `kinds` ("a|b").
@@ -110,7 +114,7 @@ class Scenario:
             )
         value = getattr(self, _POOLS[found[0]])[name]
         if found[0] == "universe" and allowed[0] == "basis":
-            return standard_basis(value, name=name)
+            return self.standard_bases[name]
         if found[0] == "attribute" and allowed[0] == "partition":
             return inverse_image_partition(value)
         return value
@@ -243,6 +247,8 @@ class _Parser:
         parts = text.split()
         if len(parts) != 2:
             raise ScenarioError("seed takes exactly one integer", line)
+        if self.scenario.seed is not None:
+            raise ScenarioError("seed given twice", line)
         try:
             self.scenario.seed = int(parts[1])
         except ValueError:
@@ -274,11 +280,13 @@ class _Parser:
             else:
                 home = sc.lookup(ref, "universe", line)
                 if kind in ("state", "map"):
-                    home = standard_basis(home, name=ref)
+                    home = sc.standard_bases[ref]
         try:
             pool[name], canonical = _DECLARATIONS[kind](name, home, body.strip())
         except QmSetsError as exc:
             raise ScenarioError(str(exc), line)
+        if kind == "universe":
+            sc.standard_bases[name] = standard_basis(pool[name], name=name)
         sc.decl_lines.append(f"{' '.join(parts)} = {canonical}")
 
     def _command(self, kind: str, text: str, line: int) -> None:
@@ -314,11 +322,10 @@ class _Parser:
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario; errors carry the offending line number."""
     parser = _Parser()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         parser.parse_line(raw, lineno)
     scenario = parser.scenario
-    if scenario.seed is None and any(
-        c.kind in SAMPLING_COMMANDS for c in scenario.commands
-    ):
-        raise ScenarioError("a seed is required when sampling commands appear")
+    first = next((c for c in scenario.commands if c.kind in SAMPLING_COMMANDS), None)
+    if scenario.seed is None and first is not None:
+        raise ScenarioError("a seed is required when sampling commands appear", first.line)
     return scenario

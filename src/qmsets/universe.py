@@ -3,9 +3,10 @@
 A partition is stored as int block masks (bit i is element i in universe
 order), ordered by least bit; label tuples and the ``{a}|{b,c}`` text are
 views.  Two partitions of the same universe are therefore equal iff they are
-structurally equal, and every partition is hashable.  The invariants
-(nonempty, disjoint, covering) are checked once, in from_blocks; the
-library's own constructions build valid masks and skip the check.
+structurally equal, and every partition is hashable.  A dit-set is held as
+the partition it determines.  The invariants (nonempty, disjoint, covering)
+are checked once, in from_blocks; the library's own constructions build
+valid masks and skip the check.
 """
 
 from __future__ import annotations
@@ -61,9 +62,16 @@ class Universe:
         except KeyError:
             raise QmSetsError(f"label {label!r} is not in the universe") from None
 
+    def mask_of(self, labels: Iterable[str]) -> int:
+        """The mask with the bit of each label set, validating membership."""
+        mask = 0
+        for label in labels:
+            mask |= 1 << self.position(label)
+        return mask
+
     def sort_labels(self, labels: Iterable[str]) -> tuple[str, ...]:
         """Return the labels as a tuple in universe order, validating membership."""
-        return tuple(sorted(set(labels), key=self.position))
+        return self.labels_of(self.mask_of(labels))
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         """The labels whose bits are set in the mask, in universe order."""
@@ -117,15 +125,9 @@ class SetPartition:
     def from_blocks(
         cls, universe: Universe, blocks: Iterable[Iterable[str]]
     ) -> "SetPartition":
-        masks = []
-        for block in blocks:
-            mask = 0
-            for label in block:
-                mask |= 1 << universe.position(label)
-            masks.append(mask)
+        masks = sorted(map(universe.mask_of, blocks), key=_least_bit)
         if 0 in masks:
             raise QmSetsError("partition has an empty block")
-        masks.sort(key=_least_bit)
         seen = 0
         for mask in masks:
             if mask & seen:
@@ -172,24 +174,38 @@ class SetPartition:
 
 @dataclass(frozen=True)
 class DitSet:
-    """The distinctions of a partition: ordered pairs in different blocks."""
+    """The distinctions of a partition, ordered pairs in different blocks, held
+    as the partition itself; `pairs` builds the label pairs when asked for."""
 
-    universe: Universe
-    pairs: frozenset[tuple[str, str]]
+    partition: SetPartition
+
+    @property
+    def universe(self) -> Universe:
+        return self.partition.universe
+
+    @property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        labels_of, full = self.universe.labels_of, (1 << len(self.universe)) - 1
+        return frozenset((u, v) for b in self.partition.masks
+                         for u in labels_of(b) for v in labels_of(full ^ b))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        """|U|^2 - sum |B|^2: the pairs not inside one block."""
+        n = len(self.universe)
+        return n * n - sum(m.bit_count() ** 2 for m in self.partition.masks)
 
     def __contains__(self, pair: object) -> bool:
-        return pair in self.pairs
+        positions = self.universe.positions
+        if not (isinstance(pair, tuple) and len(pair) == 2 and set(pair) <= positions.keys()):
+            return False
+        both = 1 << positions[pair[0]] | 1 << positions[pair[1]]
+        return all(m & both != both for m in self.partition.masks)
 
     def union(self, other: "DitSet") -> "DitSet":
-        require_same_universe(self, other)
-        return DitSet(self.universe, self.pairs | other.pairs)
+        return DitSet(join(self.partition, other.partition))
 
     def issubset(self, other: "DitSet") -> bool:
-        require_same_universe(self, other)
-        return self.pairs <= other.pairs
+        return refines(other.partition, self.partition)
 
 
 def indiscrete(universe: Universe) -> SetPartition:
@@ -226,13 +242,7 @@ def meet(p: SetPartition, q: SetPartition) -> SetPartition:
 
 def dit(p: SetPartition) -> DitSet:
     """All ordered pairs of elements lying in distinct blocks."""
-    universe = p.universe
-    full = (1 << len(universe)) - 1
-    pairs = set()
-    for b in p.masks:
-        others = universe.labels_of(full ^ b)
-        pairs.update((u, v) for u in universe.labels_of(b) for v in others)
-    return DitSet(universe, frozenset(pairs))
+    return DitSet(p)
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:
@@ -243,8 +253,7 @@ def refines(p: SetPartition, q: SetPartition) -> bool:
 
 def logical_entropy(p: SetPartition) -> Fraction:
     """Logical entropy |dit(p)| / |U|^2, with |dit(p)| = |U|^2 - sum |B|^2."""
-    n = len(p.universe)
-    return Fraction(n * n - sum(m.bit_count() ** 2 for m in p.masks), n * n)
+    return Fraction(len(DitSet(p)), len(p.universe) ** 2)
 
 
 def enumerate_partitions(

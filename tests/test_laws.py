@@ -19,10 +19,12 @@ from fractions import Fraction
 from functools import cmp_to_key
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmsets import (
     Attribute,
+    CompatibilityError,
     LinearMap,
     Permutation,
     SetKet,
@@ -177,6 +179,72 @@ class TestDitsAndEntropy:
     def test_entropy_is_dit_density(self, up):
         u, p = up
         assert logical_entropy(p) == Fraction(len(dit(p)), len(u) ** 2)
+
+
+@st.composite
+def dit_operands(draw):
+    """A universe of 1-5 labels and two partitions of it."""
+    universe = draw(_labels.map(lambda labels: Universe.of(labels[:5])))
+    return universe, draw(partitions(universe)), draw(partitions(universe))
+
+
+class TestDitSet:
+    """The dit-set operations against pairs_apart, the label-pair oracle."""
+
+    @LAWS
+    @given(dit_operands())
+    def test_len_and_membership_match_the_pairs(self, upq):
+        u, p, _ = upq
+        d, apart = dit(p), pairs_apart(p)
+        assert len(d) == len(apart)
+        for pair in ((x, y) for x in u for y in u):
+            assert (pair in d) == (pair in apart)
+
+    @LAWS
+    @given(dit_operands())
+    def test_only_pairs_of_universe_labels_are_members(self, upq):
+        u, _, _ = upq
+        d = dit(discrete(u))
+        for x in u:
+            for y in u:
+                assert x + y not in d
+                assert (x, y, y) not in d
+                assert (x, "?") not in d and ("?", y) not in d
+            assert x not in d and (x,) not in d
+
+    @LAWS
+    @given(dit_operands())
+    def test_union_is_dit_of_join(self, upq):
+        _, p, q = upq
+        union = dit(p).union(dit(q))
+        assert union == dit(join(p, q))
+        assert union.pairs == pairs_apart(p) | pairs_apart(q)
+
+    @LAWS
+    @given(dit_operands())
+    def test_issubset_is_pair_inclusion(self, upq):
+        _, p, q = upq
+        for a, b in ((p, q), (q, p), (p, join(p, q)), (join(p, q), p), (meet(p, q), p), (p, p)):
+            assert dit(a).issubset(dit(b)) == (pairs_apart(a) <= pairs_apart(b))
+
+    @LAWS
+    @given(dit_operands())
+    def test_equal_iff_same_partition(self, upq):
+        u, p, q = upq
+        assert (dit(p) == dit(q)) == (p == q) == (pairs_apart(p) == pairs_apart(q))
+        copy = SetPartition.parse(u, str(p))
+        assert dit(p) == dit(copy) and hash(dit(p)) == hash(dit(copy))
+
+    @LAWS
+    @given(dit_operands())
+    def test_operands_on_different_universes_raise(self, upq):
+        u, p, _ = upq
+        other = dit(discrete(Universe.of([*u, "?"])))
+        for a, b in ((dit(p), other), (other, dit(p))):
+            with pytest.raises(CompatibilityError):
+                a.union(b)
+            with pytest.raises(CompatibilityError):
+                a.issubset(b)
 
 
 class TestOrbits:

@@ -118,6 +118,26 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario(BASIC.replace("seed 42\n", ""))
 
+    def test_missing_seed_is_an_error_on_the_first_sampling_command(self):
+        text = BASIC.replace("seed 42\n", "") + "cascade g from S\n"
+        with pytest.raises(ScenarioError, match="^line 9: a seed is required"):
+            parse_scenario(text)
+
+    def test_second_seed_is_an_error_on_its_line(self):
+        with pytest.raises(ScenarioError, match="^line 3: seed given twice"):
+            parse_scenario("seed 1\nuniverse U = a\nseed 1\n")
+
+    def test_byte_order_mark_is_ignored(self):
+        assert parse_scenario("\ufeff" + BASIC) == parse_scenario(BASIC)
+
+    def test_a_universe_stands_for_one_standard_basis(self):
+        scenario = parse_scenario(
+            "universe U = a b\nstate S on U = {a}\nstate T on U = {b}\n\nket-table U\n"
+        )
+        (basis,) = scenario.commands[0].values
+        assert scenario.states["S"].basis is basis
+        assert scenario.states["T"].basis is basis
+
     def test_syntax_error_carries_line(self):
         with pytest.raises(ScenarioError, match="line 2"):
             parse_scenario("universe U = a b\nbogus statement\n")
@@ -314,6 +334,21 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("qmsets: line 3: ")
+
+    def test_byte_order_mark_gives_the_same_output(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.qms", tmp_path / "marked.qms"
+        plain.write_text(BASIC, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + BASIC.encode("utf-8"))
+        assert main([str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main([str(marked)]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_bad_byte_after_byte_order_mark_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qms"
+        bad.write_bytes(b"\xef\xbb\xbfuniverse U = a b\n# caf\xfe\n")
+        assert main([str(bad)]) == 2
+        assert capsys.readouterr().err == "qmsets: line 2: byte 0xfe is not UTF-8\n"
 
     def test_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "empty_state.qms"
