@@ -68,9 +68,9 @@ class KetBraResolution:
 def ketbra_resolve(t: SetKet, s: SetKet) -> KetBraResolution:
     """Sum over u of <T|{u}><{u}|S>, with the singleton resolution of S."""
     value = bracket(t, s)
-    ss = s.to_subset()
-    resolution = tuple(standard_ket(s.universe, [u]) for u in s.universe if u in ss)
-    return KetBraResolution(value, resolution)
+    basis, bits = standard_basis(s.universe), s._bits()
+    singletons = (1 << i for i in range(bits.bit_length()) if bits >> i & 1)
+    return KetBraResolution(value, tuple(SetKet._of(basis, m) for m in singletons))
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,10 @@ def born_distribution(s: SetKet) -> OutcomeDistribution:
     bits = _standard_bits(s)
     if not bits:
         raise EmptyStateError("cannot condition on the empty state")
-    universe = s.universe
-    size = bits.bit_count()
+    basis, p = standard_basis(s.universe), Fraction(1, bits.bit_count())
     outcomes = tuple(
-        Outcome(u, Fraction(1, size), standard_ket(universe, [u]))
-        for u in universe.labels_of(bits)
+        Outcome(u, p, SetKet._of(basis, 1 << i))
+        for i, u in enumerate(basis.vector_names) if bits >> i & 1
     )
     return OutcomeDistribution(s, outcomes)
 
@@ -161,7 +160,7 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
     outcomes = []
     for r, m in f._spectrum.items():
         if inter := m & bits:
-            collapsed = standard_ket(f.universe, f.universe.labels_of(inter))
+            collapsed = SetKet._of(standard_basis(f.universe), inter)
             outcomes.append(Outcome(r, Fraction(inter.bit_count(), size), collapsed))
     return OutcomeDistribution(s, outcomes)
 
@@ -289,20 +288,13 @@ def csca_measure(
 def csca_final_distribution(
     fs: Sequence[Attribute], s: SetKet
 ) -> dict[frozenset[str], Fraction]:
-    """Exact distribution over final singleton states of a CSCA cascade."""
+    """Exact distribution over final singleton states of a CSCA cascade: each
+    path's probabilities telescope to 1/|S|, so it is the Born rule on S."""
     if not is_csca(fs):
         raise QmSetsError("attribute set is not a CSCA")
-    results: dict[frozenset[str], Fraction] = {}
-
-    def walk(state: SetKet, prob: Fraction, remaining: Sequence[Attribute]):
-        if not remaining:
-            results[state.to_subset()] = results.get(
-                state.to_subset(), Fraction(0)
-            ) + prob
-            return
-        dist = measure_distribution(remaining[0], state)
-        for outcome in dist.outcomes:
-            walk(outcome.collapsed, prob * outcome.probability, remaining[1:])
-
-    walk(s, Fraction(1), list(fs))
-    return results
+    require_same_universe(fs[0], s)
+    if not s.mask:
+        raise EmptyStateError("cannot measure the empty state")
+    if not s.basis.is_standard:
+        s = to_basis(s, standard_basis(s.universe))
+    return {o.collapsed.to_subset(): o.probability for o in born_distribution(s).outcomes}

@@ -2,13 +2,13 @@
 
 Subsets are vectors under symmetric difference.  Bit-vectors (Python ints,
 bit i = element i in universe order) are the canonical representation;
-label sets are a view.  A ket always carries the basis it is expressed in.
-Ket tables are built as coordinate masks and rendered from them directly.
+label sets are a view.  A ket is a coordinate mask in the basis it carries,
+and ket tables are built as coordinate masks and rendered from them directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Sequence
 
@@ -80,23 +80,23 @@ class Basis:
     """An ordered list of |U| GF(2)-independent subsets of the universe.
 
     Construct through check_basis or standard_basis, which validate
-    independence; the raw constructor performs no checks.
+    independence; the raw constructor checks only that the labels are in U.
     """
 
     universe: Universe
     name: str
     vector_names: tuple[str, ...]
     vectors: tuple[frozenset[str], ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "masks", tuple(map(self.universe.mask_of, self.vectors)))
+        object.__setattr__(self, "positions", {n: j for j, n in enumerate(self.vector_names)})
 
     @property
     def is_standard(self) -> bool:
-        return len(self.vectors) == len(self.universe) and all(
-            v == frozenset((u,))
-            for u, v in zip(self.universe.elements, self.vectors)
-        )
-
-    def vector_bits(self) -> list[int]:
-        return [subset_to_bits(self.universe, v) for v in self.vectors]
+        return self.masks == tuple(1 << i for i in range(len(self.universe)))
 
     def names_of(self, mask: int) -> tuple[str, ...]:
         """The names of the vectors set in a coordinate mask, in basis order."""
@@ -104,16 +104,17 @@ class Basis:
             name for j, name in enumerate(self.vector_names) if (mask >> j) & 1
         )
 
-    def coords_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.names_of(mask))
+    def mask_of(self, names: Iterable[str]) -> int:
+        """The coordinate mask with the bit of each name set, validating each."""
+        mask = 0
+        for name in names:
+            mask |= 1 << self.name_position(name)
+        return mask
 
     def name_position(self, vector_name: str) -> int:
-        try:
-            return self.vector_names.index(vector_name)
-        except ValueError:
-            raise BasisError(
-                f"{vector_name!r} is not a vector of basis {self.name!r}"
-            ) from None
+        if vector_name not in self.positions:
+            raise BasisError(f"{vector_name!r} is not a vector of basis {self.name!r}")
+        return self.positions[vector_name]
 
 
 def standard_basis(universe: Universe, name: str = "U") -> Basis:
@@ -154,43 +155,57 @@ def check_basis(
     return Basis(universe, name, vector_names, tuple(subsets))
 
 
-@dataclass(frozen=True)
+def _combine(columns: Sequence[int], mask: int) -> int:
+    """The XOR of columns[j] over the set bits j of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= columns[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+@dataclass(frozen=True, init=False)
 class SetKet:
-    """A vector of Z2^|U| expressed as a set of coordinates in a named basis."""
+    """A vector of Z2^|U| as a coordinate mask (bit j = vector j) in a named basis."""
 
     basis: Basis
-    coords: frozenset[str]
+    mask: int
 
-    def __post_init__(self):
-        for c in self.coords:
-            self.basis.name_position(c)
+    def __init__(self, basis: Basis, coords: Iterable[str]):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "mask", basis.mask_of(coords))
+
+    @classmethod
+    def _of(cls, basis: Basis, mask: int) -> "SetKet":
+        """A ket from a coordinate mask already known to fit the basis."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "basis", basis)
+        object.__setattr__(k, "mask", mask)
+        return k
 
     @property
     def universe(self) -> Universe:
         return self.basis.universe
 
+    @property
+    def coords(self) -> frozenset[str]:
+        return frozenset(self.basis.names_of(self.mask))
+
     def _bits(self) -> int:
         """The standard-basis subset of U as a bitmask (XOR of basis vectors)."""
-        bits = 0
-        for c in self.coords:
-            bits ^= subset_to_bits(
-                self.universe, self.basis.vectors[self.basis.name_position(c)]
-            )
-        return bits
+        return _combine(self.basis.masks, self.mask)
 
     def to_subset(self) -> frozenset[str]:
         """Expand to the standard-basis subset of U (XOR of basis vectors)."""
         return bits_to_subset(self.universe, self._bits())
 
-    def sorted_coords(self) -> tuple[str, ...]:
-        return tuple(name for name in self.basis.vector_names if name in self.coords)
-
     def __str__(self) -> str:
-        return braced(self.sorted_coords())
+        return braced(self.basis.names_of(self.mask))
 
 
 def standard_ket(universe: Universe, labels: Iterable[str]) -> SetKet:
-    return SetKet(standard_basis(universe), frozenset(labels))
+    return SetKet(standard_basis(universe), labels)
 
 
 def add(s: SetKet, t: SetKet) -> SetKet:
@@ -199,7 +214,7 @@ def add(s: SetKet, t: SetKet) -> SetKet:
         raise BasisError(
             "kets are expressed in different bases; re-express before adding"
         )
-    return SetKet(s.basis, s.coords ^ t.coords)
+    return SetKet._of(s.basis, s.mask ^ t.mask)
 
 
 def to_basis(s: SetKet, target: Basis) -> SetKet:
@@ -208,7 +223,7 @@ def to_basis(s: SetKet, target: Basis) -> SetKet:
         raise CompatibilityError("bases live on different universes")
     if s.basis == target:
         return s
-    return SetKet(target, target.coords_of(gf2_solve(target.vector_bits(), s._bits())))
+    return SetKet._of(target, gf2_solve(target.masks, s._bits()))
 
 
 def _coordinate_table(basis: Basis) -> list[int]:
@@ -217,7 +232,7 @@ def _coordinate_table(basis: Basis) -> list[int]:
     Built by summing basis vectors over every coordinate mask c, each sum
     extending the one for c without its lowest bit.
     """
-    vectors = basis.vector_bits()
+    vectors = basis.masks
     size = 1 << len(basis.universe)
     if len(vectors) != len(basis.universe):
         raise BasisError(f"basis {basis.name!r} needs {len(basis.universe)} vectors")
@@ -276,7 +291,7 @@ def ket_table(
     last.
     """
     return [
-        [SetKet(b, b.coords_of(c)) for b, c in zip(bases, row)]
+        [SetKet._of(b, c) for b, c in zip(bases, row)]
         for row in _ket_masks(bases, paper_order, bound)
     ]
 
@@ -308,13 +323,7 @@ class LinearMap:
         cls, domain: Basis, codomain: Basis, images: Sequence[Iterable[str]]
     ) -> "LinearMap":
         """Columns given as coordinate-name sets in the codomain basis."""
-        cols = []
-        for image in images:
-            bits = 0
-            for name in image:
-                bits |= 1 << codomain.name_position(name)
-            cols.append(bits)
-        return cls(domain, codomain, tuple(cols))
+        return cls(domain, codomain, tuple(map(codomain.mask_of, images)))
 
 
 def identity_map(basis: Basis) -> LinearMap:
@@ -325,8 +334,7 @@ def identity_map(basis: Basis) -> LinearMap:
 def permutation_map(basis: Basis, mapping: dict[str, str]) -> LinearMap:
     """The linear map permuting basis coordinates per the given bijection;
     vector names the mapping leaves out map to themselves."""
-    for name in mapping:
-        basis.name_position(name)  # raises for a name outside the basis
+    basis.mask_of(mapping)  # raises for a name outside the basis
     cols = tuple(
         1 << basis.name_position(mapping.get(name, name)) for name in basis.vector_names
     )
@@ -339,10 +347,7 @@ def apply_map(m: LinearMap, s: SetKet) -> SetKet:
     """Matrix-vector product over GF(2)."""
     if s.basis != m.domain:
         raise BasisError("ket is not expressed in the map's domain basis")
-    out_bits = 0
-    for name in s.coords:
-        out_bits ^= m.columns[m.domain.name_position(name)]
-    return SetKet(m.codomain, m.codomain.coords_of(out_bits))
+    return SetKet._of(m.codomain, _combine(m.columns, s.mask))
 
 
 def is_nonsingular(m: LinearMap) -> bool:

@@ -41,6 +41,7 @@ class Permutation:
 
     @classmethod
     def from_mapping(cls, universe: Universe, mapping: dict[str, str]) -> "Permutation":
+        universe.mask_of([*mapping, *mapping.values()])  # a label outside U raises
         return cls(
             universe, tuple(mapping.get(u, u) for u in universe.elements)
         )
@@ -49,10 +50,11 @@ class Permutation:
     def from_cycles(cls, universe: Universe, cycles: Sequence[Sequence[str]]) -> "Permutation":
         mapping: dict[str, str] = {}
         for cycle in cycles:
-            for label in cycle:
+            for i, label in enumerate(cycle):
+                if label in cycle[:i]:
+                    raise QmSetsError(f"label {label!r} repeated within a cycle")
                 if label in mapping:
                     raise QmSetsError(f"label {label!r} repeated across cycles")
-            for i, label in enumerate(cycle):
                 mapping[label] = cycle[(i + 1) % len(cycle)]
         return cls.from_mapping(universe, mapping)
 

@@ -27,6 +27,8 @@ Any command may end with ``to <path>`` to write its output to a file, each
 path at most once.  Every referenced name must be declared on an earlier
 line, and names are unique per kind.  A name appears at most once in a brace
 set, a partition block included, and a ``key:value`` entry needs both parts.
+A group's cycles name only labels of its universe, each at most once per
+generator, within a cycle or across its cycles.
 An argument that names two of the kinds it may take is a parse error (exit
 2); operands on different universes are a runtime error (exit 3).  A seed is
 required when a sampling command (cascade) appears, and is an error on the

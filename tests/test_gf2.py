@@ -7,6 +7,7 @@ from qmsets import (
     Basis,
     BasisError,
     LinearMap,
+    QmSetsError,
     SetKet,
     Universe,
     add,
@@ -97,6 +98,10 @@ class TestCheckBasis:
     def test_short_raw_basis_is_not_standard(self, u3):
         short = Basis(u3, "B", ("a", "b"), (frozenset("a"), frozenset("b")))
         assert not short.is_standard
+
+    def test_raw_basis_rejects_a_label_outside_the_universe(self, u3):
+        with pytest.raises(QmSetsError, match="^label 'z' is not in the universe$"):
+            Basis(u3, "B", ("x", "y", "z"), (frozenset("a"), frozenset("b"), frozenset("z")))
 
     def test_dependent_rejected(self, u3):
         with pytest.raises(BasisError, match="rank-deficient"):

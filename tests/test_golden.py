@@ -20,6 +20,7 @@ SCENARIOS = [
     ROOT / "scenarios" / "measurement.qms",
     ROOT / "scenarios" / "paper_table.qms",
     GOLDEN / "wide_bases.qms",
+    GOLDEN / "kets_in_bases.qms",
 ]
 
 

@@ -162,3 +162,19 @@ class TestInvariance:
     def test_whole_universe_invariant(self, u3):
         g = generate_group([perm(u3, "ab"), perm(u3, "abc")])
         assert is_invariant(g, standard_ket(u3, u3.elements))
+
+
+class TestLabelsOutsideTheUniverse:
+    @pytest.mark.parametrize("mapping", [{"z": "a"}, {"a": "z"}, {"z": "z"}])
+    def test_from_mapping_names_the_label(self, u3, mapping):
+        with pytest.raises(QmSetsError, match="^label 'z' is not in the universe$"):
+            Permutation.from_mapping(u3, mapping)
+
+    @pytest.mark.parametrize("cycles", [[("z",), ("a", "b")], [("a", "z")]])
+    def test_from_cycles_names_the_label(self, u3, cycles):
+        with pytest.raises(QmSetsError, match="^label 'z' is not in the universe$"):
+            Permutation.from_cycles(u3, cycles)
+
+    def test_label_repeated_within_a_cycle(self, u3):
+        with pytest.raises(QmSetsError, match="^label 'a' repeated within a cycle$"):
+            Permutation.from_cycles(u3, [("a", "b", "a")])

@@ -15,6 +15,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from fractions import Fraction
 from functools import cmp_to_key
 from pathlib import Path
@@ -30,6 +31,7 @@ from qmsets import (
     SetKet,
     SetPartition,
     Universe,
+    add,
     apply_map,
     check_basis,
     csca_final_distribution,
@@ -658,3 +660,86 @@ class TestCLIDeterminism:
             assert head == "pythagoras P S"
             assert (int(left), int(right)) == (record["left"], record["right"])
             assert sum(int(t) for t in terms.split(" + ")) == record["right"]
+
+
+def assert_public(k, names):
+    """k equals, and hashes like, the public ket with these coordinate names,
+    and its coordinate view and text agree with them."""
+    for public in (SetKet(k.basis, k.coords), SetKet(k.basis, frozenset(names))):
+        assert k == public and hash(k) == hash(public)
+    assert type(k.coords) is frozenset and k.coords == frozenset(names)
+    assert str(k) == "{" + ",".join(in_basis_order(k.basis, names)) + "}"
+
+
+def cascade_walk(fs, s):
+    """The final states of every cascade path, by walking measure_distribution."""
+    finals = {}
+
+    def walk(state, prob, remaining):
+        if not remaining:
+            finals[state.to_subset()] = finals.get(state.to_subset(), 0) + prob
+            return
+        for o in measure_distribution(remaining[0], state).outcomes:
+            walk(o.collapsed, prob * o.probability, remaining[1:])
+
+    walk(s, Fraction(1), fs)
+    return finals
+
+
+class TestLibraryKets:
+    """Kets the library builds from masks equal the ones built from names."""
+
+    def test_a_ket_is_its_basis_and_coordinate_mask(self):
+        assert [f.name for f in fields(SetKet)] == ["basis", "mask"]
+
+    @LAWS
+    @given(universe_and_bases(2), st.data())
+    def test_to_basis_and_add(self, uvw, data):
+        u, v, w = uvw
+        names = st.frozensets(st.sampled_from(v.vector_names))
+        a, b = data.draw(names), data.draw(names)
+        assert_public(add(SetKet(v, a), SetKet(v, b)), a ^ b)
+        in_v = SetKet(v, a)
+        assert_public(to_basis(in_v, w), coordinates(w)[expand(v, a)])
+        assert_public(to_basis(in_v, standard_basis(u)), expand(v, a))
+
+    @LAWS
+    @given(universe_and_bases(2), st.data())
+    def test_apply_map(self, uvw, data):
+        u, v, w = uvw
+        n = len(u)
+        columns = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=n, max_size=n))
+        a = data.draw(st.frozensets(st.sampled_from(v.vector_names)))
+        image = 0
+        for name in a:
+            image ^= columns[v.vector_names.index(name)]
+        names = {x for j, x in enumerate(w.vector_names) if (image >> j) & 1}
+        assert_public(apply_map(LinearMap(v, w, tuple(columns)), SetKet(v, a)), names)
+
+    @LAWS
+    @given(universe_and_bases(2, max_size=5))
+    def test_ket_table(self, uvw):
+        u, v, w = uvw
+        bases = [standard_basis(u), v, w]
+        for m, row in enumerate(ket_table(bases)):
+            subset = frozenset(x for i, x in enumerate(u) if (m >> i) & 1)
+            for b, k in zip(bases, row):
+                assert_public(k, coordinates(b)[subset])
+
+    @LAWS
+    @given(universe_attribute_state())
+    def test_measurement_collapses(self, ufs):
+        u, f, subset = ufs
+        for o in measure_distribution(f, standard_ket(u, subset)).outcomes:
+            assert_public(o.collapsed, {x for x in subset if f(x) == o.value})
+
+    @LAWS
+    @given(universe_and_bases(1), st.data())
+    def test_csca_finals_match_the_cascade_walk(self, uv, data):
+        u, v = uv
+        fs = [data.draw(attributes(u, f"f{i}")) for i in range(data.draw(st.integers(1, 3)))]
+        if not is_csca(fs):
+            fs.append(Attribute.from_mapping("d", u, {x: str(i) for i, x in enumerate(u)}))
+        names = data.draw(st.frozensets(st.sampled_from(v.vector_names), min_size=1))
+        for s in (SetKet(v, names), standard_ket(u, expand(v, names))):
+            assert csca_final_distribution(fs, s) == cascade_walk(fs, s)

@@ -421,6 +421,21 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert captured.err == "qmsets: line 2: 'a' appears twice in '{a,a}'\n"
 
+    @pytest.mark.parametrize("group, message", [
+        ("(z), (a b)", "label 'z' is not in the universe"),
+        ("(a z)", "label 'z' is not in the universe"),
+        ("(a b a)", "label 'a' repeated within a cycle"),
+    ])
+    def test_group_label_outside_the_universe_or_repeated(
+        self, tmp_path, capsys, group, message
+    ):
+        bad = tmp_path / "group.qms"
+        bad.write_text(f"universe U = a b c\ngroup G on U = {group}\norbits G\n")
+        assert main([str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qmsets: line 2: {message}\n"
+
     @pytest.mark.parametrize("command, size, hint", [
         ("lattice U", 7, "exceeds enumeration bound 6 (--bound 7 lifts it)"),
         ("ket-table U", 11, "exceeds ket-table bound 10 (--bound 11 lifts it)"),
