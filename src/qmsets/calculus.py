@@ -23,9 +23,8 @@ from .gf2 import (
     is_nonsingular,
     standard_basis,
     standard_ket,
-    to_basis,
 )
-from .universe import SetPartition, join as partition_join, require_same_universe
+from .universe import SetPartition, _unchecked_new, join as partition_join, require_same_universe
 
 
 def _standard_bits(s: SetKet) -> int:
@@ -87,6 +86,9 @@ class OutcomeDistribution:
     state: SetKet
     outcomes: tuple[Outcome, ...]
 
+    # (state, outcomes) built valid by the library; the public constructor checks.
+    _of = classmethod(_unchecked_new)
+
     def __post_init__(self):
         total = sum((o.probability for o in self.outcomes), Fraction(0))
         if total != 1:
@@ -121,7 +123,7 @@ def born_distribution(s: SetKet) -> OutcomeDistribution:
         Outcome(u, p, SetKet._of(basis, 1 << i))
         for i, u in enumerate(basis.vector_names) if bits >> i & 1
     )
-    return OutcomeDistribution(s, outcomes)
+    return OutcomeDistribution._of(s, outcomes)
 
 
 @dataclass(frozen=True)
@@ -151,18 +153,17 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
     attribute's home basis (the standard basis of its universe).
     """
     require_same_universe(f, s)
-    if not s.basis.is_standard:
-        s = to_basis(s, standard_basis(f.universe))
     bits = s._bits()
     if not bits:
         raise EmptyStateError("cannot measure the empty state")
+    if not s.basis.is_standard:
+        s = SetKet._of(standard_basis(f.universe), bits)
     size = bits.bit_count()
-    outcomes = []
-    for r, m in f._spectrum.items():
-        if inter := m & bits:
-            collapsed = SetKet._of(standard_basis(f.universe), inter)
-            outcomes.append(Outcome(r, Fraction(inter.bit_count(), size), collapsed))
-    return OutcomeDistribution(s, outcomes)
+    return OutcomeDistribution._of(s, tuple(
+        Outcome(r, Fraction(inter.bit_count(), size),
+                SetKet._of(standard_basis(f.universe), inter))
+        for r, m in f._spectrum.items() if (inter := m & bits)
+    ))
 
 
 def _uniform(seed: int, step: int) -> Fraction:
@@ -271,7 +272,7 @@ def csca_measure(
     """Sampled non-degenerate measurement: thread collapses through a CSCA."""
     if not is_csca(fs):
         raise QmSetsError("attribute set is not a CSCA; measurement is degenerate")
-    if not s.to_subset():
+    if not s._bits():
         raise EmptyStateError("cannot measure the empty state")
     steps = []
     state = s
@@ -280,7 +281,7 @@ def csca_measure(
         steps.append(step)
         state = step.post_state
     record = MeasurementRecord(seed, tuple(steps))
-    if len(record.final_state.to_subset()) != 1:
+    if record.final_state._bits().bit_count() != 1:
         raise QmSetsError("CSCA cascade did not end in a singleton state")
     return record
 
@@ -289,12 +290,12 @@ def csca_final_distribution(
     fs: Sequence[Attribute], s: SetKet
 ) -> dict[frozenset[str], Fraction]:
     """Exact distribution over final singleton states of a CSCA cascade: each
-    path's probabilities telescope to 1/|S|, so it is the Born rule on S."""
+    path's probabilities telescope to 1/|S|, so it is {u} -> 1/|S| on S."""
     if not is_csca(fs):
         raise QmSetsError("attribute set is not a CSCA")
     require_same_universe(fs[0], s)
-    if not s.mask:
+    bits = s._bits()
+    if not bits:
         raise EmptyStateError("cannot measure the empty state")
-    if not s.basis.is_standard:
-        s = to_basis(s, standard_basis(s.universe))
-    return {o.collapsed.to_subset(): o.probability for o in born_distribution(s).outcomes}
+    p = Fraction(1, bits.bit_count())
+    return {frozenset((u,)): p for u in s.universe.labels_of(bits)}

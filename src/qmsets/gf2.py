@@ -13,7 +13,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import BasisError, BoundError, CompatibilityError
-from .universe import Universe, braced
+from .universe import Universe, _unchecked_new, braced
 
 DEFAULT_KET_TABLE_BOUND = 10
 
@@ -80,7 +80,8 @@ class Basis:
     """An ordered list of |U| GF(2)-independent subsets of the universe.
 
     Construct through check_basis or standard_basis, which validate
-    independence; the raw constructor checks only that the labels are in U.
+    independence; the raw constructor checks only that the labels are in U
+    and that each vector has its own name.
     """
 
     universe: Universe
@@ -93,6 +94,9 @@ class Basis:
     def __post_init__(self):
         object.__setattr__(self, "masks", tuple(map(self.universe.mask_of, self.vectors)))
         object.__setattr__(self, "positions", {n: j for j, n in enumerate(self.vector_names)})
+        if len(self.positions) != len(self.vectors):
+            n = len(self.universe)
+            raise BasisError(f"basis {self.name!r} needs {n} distinct vector names")
 
     @property
     def is_standard(self) -> bool:
@@ -134,25 +138,22 @@ def check_basis(
 ) -> Basis:
     """Validate a candidate basis: right count and full GF(2) rank."""
     n = len(universe)
-    subsets = [frozenset(v) for v in vectors]
+    subsets = tuple(map(frozenset, vectors))
     if len(subsets) != n:
         raise BasisError(
             f"basis {name!r} needs exactly {n} vectors, got {len(subsets)}"
         )
-    _, i = _echelon([subset_to_bits(universe, v) for v in subsets])
+    if vector_names is None:
+        vector_names = [f"{name}{i}" for i in range(n)]
+    basis = Basis(universe, name, tuple(vector_names), subsets)
+    _, i = _echelon(basis.masks)
     if i is not None:
         raise BasisError(
             f"basis {name!r} is rank-deficient: vector {i} = "
-            f"{braced(universe.sort_labels(subsets[i]))} "
+            f"{braced(universe.labels_of(basis.masks[i]))} "
             f"is a GF(2) combination of earlier vectors"
         )
-    if vector_names is None:
-        vector_names = tuple(f"{name}{i}" for i in range(n))
-    else:
-        vector_names = tuple(vector_names)
-        if len(vector_names) != n or len(set(vector_names)) != n:
-            raise BasisError(f"basis {name!r} needs {n} distinct vector names")
-    return Basis(universe, name, vector_names, tuple(subsets))
+    return basis
 
 
 def _combine(columns: Sequence[int], mask: int) -> int:
@@ -176,13 +177,8 @@ class SetKet:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "mask", basis.mask_of(coords))
 
-    @classmethod
-    def _of(cls, basis: Basis, mask: int) -> "SetKet":
-        """A ket from a coordinate mask already known to fit the basis."""
-        k = object.__new__(cls)
-        object.__setattr__(k, "basis", basis)
-        object.__setattr__(k, "mask", mask)
-        return k
+    # (basis, mask) with the mask already known to fit the basis.
+    _of = classmethod(_unchecked_new)
 
     @property
     def universe(self) -> Universe:

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .errors import BoundError, CompatibilityError, GroupError, QmSetsError
 from .gf2 import SetKet
-from .universe import SetPartition, Universe
+from .universe import SetPartition, Universe, _unchecked_new
 
 DEFAULT_CLOSURE_BOUND = 10080
 
@@ -27,13 +27,8 @@ class Permutation:
         if sorted(self.images) != sorted(self.universe.elements):
             raise QmSetsError("mapping is not a bijection of the universe")
 
-    @classmethod
-    def _unchecked(cls, universe: Universe, images: tuple[str, ...]) -> "Permutation":
-        """A permutation from images already known to be a bijection."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "universe", universe)
-        object.__setattr__(t, "images", images)
-        return t
+    # (universe, images) already known to be a bijection.
+    _unchecked = classmethod(_unchecked_new)
 
     @classmethod
     def identity(cls, universe: Universe) -> "Permutation":

@@ -172,7 +172,7 @@ def _basis(name: str, home: Universe, body: str):
         vectors.append(_parse_subset(subset))
     basis = check_basis(home, vectors, name, vec_names)
     return basis, " ".join(
-        f"{n}:{braced(home.sort_labels(v))}" for n, v in zip(vec_names, basis.vectors)
+        f"{n}:{braced(home.labels_of(m))}" for n, m in zip(vec_names, basis.masks)
     )
 
 
@@ -207,8 +207,6 @@ def _state(name: str, home: Basis, body: str):
 
 def _map(name: str, home: Basis, body: str):
     images = [_parse_subset(chunk) for chunk in body.split()]
-    if len(images) != len(home.universe):
-        raise ScenarioError(f"map needs {len(home.universe)} columns, got {len(images)}")
     m = LinearMap.from_column_subsets(home, home, images)
     return m, " ".join(braced(home.names_of(col)) for col in m.columns)
 

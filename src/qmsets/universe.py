@@ -83,6 +83,14 @@ class Universe:
         return tuple(labels)
 
 
+def _unchecked_new(cls, *values):
+    """The frozen dataclass cls with its fields set to values, in order, unchecked."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def braced(names: Iterable[str]) -> str:
     """The text form of a set: its names in the order given, in braces."""
     return "{" + ",".join(names) + "}"

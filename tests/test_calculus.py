@@ -433,3 +433,37 @@ class TestOutcomeDistributionChecks:
         with pytest.raises(QmSetsError) as exc:
             _distribution(u3, "ab", [(str(i), share, c) for i, c in enumerate(collapses)])
         assert str(exc.value) == "collapsed states do not partition the state"
+
+
+class TestLibraryDistributions:
+    """Distributions the library builds are frozen values, like public ones."""
+
+    def test_measured_distribution_is_a_hashable_tuple(self, f, u3, u_prime):
+        for s in (standard_ket(u3, "abc"), SetKet(u_prime, {"a'", "b'"})):
+            d = measure_distribution(f, s)
+            assert type(d.outcomes) is tuple
+            assert hash(d) == hash(OutcomeDistribution(d.state, d.outcomes))
+
+    def test_born_distribution_is_a_hashable_tuple(self, u3):
+        d = born_distribution(standard_ket(u3, "ac"))
+        assert type(d.outcomes) is tuple
+        assert hash(d) == hash(OutcomeDistribution(d.state, d.outcomes))
+
+
+class TestCscaErrors:
+    def test_final_distribution_rejects_a_non_csca(self, f, u3):
+        with pytest.raises(QmSetsError) as exc:
+            csca_final_distribution([f], standard_ket(u3, "ab"))
+        assert str(exc.value) == "attribute set is not a CSCA"
+
+    def test_final_distribution_rejects_the_empty_state(self, f, g, u3, u_prime):
+        for s in (standard_ket(u3, ""), SetKet(u_prime, ())):
+            with pytest.raises(EmptyStateError) as exc:
+                csca_final_distribution([f, g], s)
+            assert str(exc.value) == "cannot measure the empty state"
+
+    def test_cascade_rejects_the_empty_state(self, f, g, u3, u_prime):
+        for s in (standard_ket(u3, ""), SetKet(u_prime, ())):
+            with pytest.raises(EmptyStateError) as exc:
+                csca_measure([f, g], s, seed=0)
+            assert str(exc.value) == "cannot measure the empty state"

@@ -216,3 +216,17 @@ class TestLinearMaps:
             m = LinearMap(u_basis, u_basis, cols)
             images = {apply_map(m, s) for s in kets}
             assert is_nonsingular(m) == (len(images) == len(kets))
+
+
+class TestVectorNames:
+    def test_raw_basis_rejects_a_repeated_vector_name(self, u3):
+        vectors = (frozenset("a"), frozenset("b"), frozenset("c"))
+        with pytest.raises(BasisError) as exc:
+            Basis(u3, "B", ("x", "x", "z"), vectors)
+        assert str(exc.value) == "basis 'B' needs 3 distinct vector names"
+
+    @pytest.mark.parametrize("names", [("x", "x", "z"), ("x", "y"), ("x", "y", "z", "w")])
+    def test_check_basis_needs_one_distinct_name_per_vector(self, u3, names):
+        with pytest.raises(BasisError) as exc:
+            check_basis(u3, [{"a"}, {"b"}, {"c"}], "B", names)
+        assert str(exc.value) == "basis 'B' needs 3 distinct vector names"

@@ -27,12 +27,14 @@ from qmsets import (
     Attribute,
     CompatibilityError,
     LinearMap,
+    OutcomeDistribution,
     Permutation,
     SetKet,
     SetPartition,
     Universe,
     add,
     apply_map,
+    born_distribution,
     check_basis,
     csca_final_distribution,
     discrete,
@@ -743,3 +745,24 @@ class TestLibraryKets:
         names = data.draw(st.frozensets(st.sampled_from(v.vector_names), min_size=1))
         for s in (SetKet(v, names), standard_ket(u, expand(v, names))):
             assert csca_final_distribution(fs, s) == cascade_walk(fs, s)
+
+
+class TestLibraryDistributions:
+    """Distributions the library builds unchecked pass the public constructor."""
+
+    @LAWS
+    @given(universe_and_bases(1), st.data())
+    def test_measurement(self, uv, data):
+        u, v = uv
+        f = data.draw(attributes(u))
+        names = data.draw(st.frozensets(st.sampled_from(v.vector_names), min_size=1))
+        for s in (SetKet(v, names), standard_ket(u, expand(v, names))):
+            d = measure_distribution(f, s)
+            assert OutcomeDistribution(d.state, d.outcomes) == d
+
+    @LAWS
+    @given(universe_attribute_state())
+    def test_born_rule(self, ufs):
+        u, _, subset = ufs
+        d = born_distribution(standard_ket(u, subset))
+        assert OutcomeDistribution(d.state, d.outcomes) == d

@@ -470,3 +470,30 @@ class TestMainExitCodes:
         assert main([path]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+CASCADE = "universe U = a b c\nattribute f on U = a:1 b:2 c:3\nstate S on U = {a}\n"
+
+
+class TestParseErrorMessages:
+    """Each parse error exits 2 with its line and message, and prints nothing."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("universe U = a b c\nstate S on U = a\n", 2, "expected a brace-delimited set, got 'a'"),
+        ("universe U = a b c\ngroup G on U = a b\n", 2, "malformed cycle notation 'a b'"),
+        ("universe U = a b c\nattribute f on U = a:1 a:2 b:1 c:1\n", 2,
+         "duplicate element 'a'"),
+        ("universe U = a b c\nmap M on U = {a} {b}\n", 2, "map needs 3 columns, got 2"),
+        ("universe U = a b c\nmap M on U = {b} {a} {c} {a}\n", 2, "map needs 3 columns, got 4"),
+        ("seed x\n", 1, "seed must be an integer, got 'x'"),
+        ("universe U V = a b\n", 1, "usage: universe NAME = e1 e2 ..."),
+        ("universe U = a b c\nstate S U = {a}\n", 2, "usage: state NAME on UNIVERSE = ..."),
+        (CASCADE + "cascade f S\n", 4, "usage: cascade ATTR... from STATE"),
+        (CASCADE + "cascade from S\n", 4, "usage: cascade ATTR... from STATE"),
+        (CASCADE + "cascade f from S S\n", 4, "usage: cascade ATTR... from STATE"),
+    ])
+    def test_message_and_line(self, tmp_path, capsys, text, line, message):
+        bad = tmp_path / "bad.qms"
+        bad.write_text(text)
+        assert main([str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"qmsets: line {line}: {message}\n")

@@ -30,3 +30,16 @@ def test_every_declaration_kind_has_a_pool():
     from qmsets.scenario import _DECLARATIONS, _POOLS
 
     assert _DECLARATIONS.keys() == _POOLS.keys()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_distributions_skip_the_public_checks(path):
+    """The library builds each distribution valid, through OutcomeDistribution._of;
+    the public constructor's checks are for values from outside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "OutcomeDistribution"
+    ]
+    assert not lines, f"{path.name} calls OutcomeDistribution( at lines {lines}"
