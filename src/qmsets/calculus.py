@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 from .attributes import Attribute, inverse_image_partition, is_csca
 from .errors import BasisError, EmptyStateError, QmSetsError
 from .gf2 import (
+    Basis,
     LinearMap,
     SetKet,
     apply_map,
@@ -30,10 +31,14 @@ from .universe import SetPartition, _unchecked_new, join as partition_join, requ
 def _standard_bits(s: SetKet) -> int:
     """The subset of a standard-basis ket as a bitmask (bit i = element i)."""
     if not s.basis.is_standard:
-        raise BasisError(
-            "operand must be expressed in the standard basis; convert with to_basis"
-        )
+        raise BasisError("operand must be expressed in the standard basis; convert with to_basis")
     return s._bits()
+
+
+def _standard_basis_of(s: SetKet) -> Basis:
+    """standard_basis(U) for a standard-basis ket: its own basis when named as that one."""
+    own = s.basis.name == "U" and s.basis.vector_names == s.universe.elements
+    return s.basis if own else standard_basis(s.universe)
 
 
 def bracket(t: SetKet, s: SetKet) -> int:
@@ -67,7 +72,7 @@ class KetBraResolution:
 def ketbra_resolve(t: SetKet, s: SetKet) -> KetBraResolution:
     """Sum over u of <T|{u}><{u}|S>, with the singleton resolution of S."""
     value = bracket(t, s)
-    basis, bits = standard_basis(s.universe), s._bits()
+    basis, bits = _standard_basis_of(s), s._bits()
     singletons = (1 << i for i in range(bits.bit_length()) if bits >> i & 1)
     return KetBraResolution(value, tuple(SetKet._of(basis, m) for m in singletons))
 
@@ -118,7 +123,7 @@ def born_distribution(s: SetKet) -> OutcomeDistribution:
     bits = _standard_bits(s)
     if not bits:
         raise EmptyStateError("cannot condition on the empty state")
-    basis, p = standard_basis(s.universe), Fraction(1, bits.bit_count())
+    basis, p = _standard_basis_of(s), Fraction(1, bits.bit_count())
     outcomes = tuple(
         Outcome(u, p, SetKet._of(basis, 1 << i))
         for i, u in enumerate(basis.vector_names) if bits >> i & 1

@@ -19,6 +19,7 @@ DEFAULT_KET_TABLE_BOUND = 10
 
 
 subset_to_bits = Universe.mask_of  # (universe, labels); an alias saves a frame per call
+_single_bits = cache(lambda n: tuple(1 << i for i in range(n)))  # standard masks, once per n
 
 
 def bits_to_subset(universe: Universe, bits: int) -> frozenset[str]:
@@ -100,7 +101,7 @@ class Basis:
 
     @property
     def is_standard(self) -> bool:
-        return self.masks == tuple(1 << i for i in range(len(self.universe)))
+        return self.masks == _single_bits(len(self.universe))
 
     def names_of(self, mask: int) -> tuple[str, ...]:
         """The names of the vectors set in a coordinate mask, in basis order."""

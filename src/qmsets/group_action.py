@@ -6,7 +6,7 @@ matching the diagram U -t-> U -s-> U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import BoundError, CompatibilityError, GroupError, QmSetsError
@@ -92,8 +92,11 @@ class Permutation:
 
 @dataclass(frozen=True)
 class TransformationGroup:
+    """A set of permutations; the raw constructor checks nothing, orbit_partition does."""
+
     universe: Universe
     elements: frozenset[Permutation]
+    _closed: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -144,11 +147,11 @@ def generate_group(
                     elements.add(composed)
                     new.append(composed)
                     if len(elements) > bound:
-                        raise BoundError(
-                            f"group closure exceeded bound {bound}"
-                        )
+                        raise BoundError(f"group closure exceeded bound {bound}")
         frontier = new
-    return TransformationGroup(universe, frozenset(elements))
+    group = TransformationGroup(universe, frozenset(elements))
+    object.__setattr__(group, "_closed", True)  # the only place a group is known closed
+    return group
 
 
 def verify_group_axioms(g: TransformationGroup) -> AxiomReport:
@@ -171,20 +174,21 @@ def verify_group_axioms(g: TransformationGroup) -> AxiomReport:
 def orbit_partition(g: TransformationGroup) -> SetPartition:
     """Partition of the universe into orbits {t(u) : t in G}.
 
-    G must be a group, that is, equal to the span of its elements.  Only
-    elements outside the span so far become generators: at most log2 |G|.
+    G must be a group.  generate_group's are closed; any other set is checked,
+    with elements outside the span so far as generators: at most log2 |G|.
     """
-    gens: list[Permutation] = []
-    span = frozenset([Permutation.identity(g.universe)])
-    try:
-        for t in sorted(g.elements, key=lambda t: t.images):
-            if t not in span:
-                gens.append(t)
-                span = generate_group(gens, g.universe, bound=len(g)).elements
-    except BoundError:
-        span = None
-    if span != g.elements:
-        raise GroupError("not a group: its elements generate a different set")
+    if not g._closed:
+        gens: list[Permutation] = []
+        span = frozenset([Permutation.identity(g.universe)])
+        try:
+            for t in sorted(g.elements, key=lambda t: t.images):
+                if t not in span:
+                    gens.append(t)
+                    span = generate_group(gens, g.universe, bound=len(g)).elements
+        except BoundError:
+            span = None
+        if span != g.elements:
+            raise GroupError("not a group: its elements generate a different set")
     # Orbit i is column i of the image tuples: {t(u_i) : t in G}.
     orbits = set(map(g.universe.mask_of, zip(*(t.images for t in g))))
     return SetPartition._from_masks(g.universe, orbits)

@@ -15,7 +15,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from pathlib import Path
@@ -25,12 +25,15 @@ from hypothesis import given, settings, strategies as st
 
 from qmsets import (
     Attribute,
+    BasisError,
     CompatibilityError,
+    GroupError,
     LinearMap,
     OutcomeDistribution,
     Permutation,
     SetKet,
     SetPartition,
+    TransformationGroup,
     Universe,
     add,
     apply_map,
@@ -46,6 +49,7 @@ from qmsets import (
     is_nonsingular,
     join,
     ket_table,
+    ketbra_resolve,
     logical_entropy,
     measure_distribution,
     measure_sample,
@@ -263,6 +267,20 @@ class TestOrbits:
             for label in u:
                 uf.union(label, t(label))
         assert set(orbit_partition(generate_group(gens, u)).block_sets()) == uf.groups()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_closed_groups_skip_only_a_check_they_pass(self, data):
+        """generate_group's result is not re-checked: the same elements through
+        the raw constructor, which are checked, give the same orbits, and a
+        replace of a closed group onto a non-group is checked and rejected."""
+        u = data.draw(universes)
+        images = data.draw(st.lists(st.permutations(u.elements), min_size=1, max_size=3))
+        group = generate_group([Permutation(u, tuple(im)) for im in images], u)
+        assert orbit_partition(group) == orbit_partition(TransformationGroup(u, group.elements))
+        no_identity = group.elements - {Permutation(u, u.elements)}
+        with pytest.raises(GroupError, match="^not a group: its elements generate a different set$"):
+            orbit_partition(replace(group, elements=no_identity))
 
 
 @st.composite
@@ -509,6 +527,32 @@ class TestMeasurement:
         s = SetKet(v, coords)
         standard = to_basis(s, standard_basis(u))
         assert measure_distribution(f, s).outcomes == measure_distribution(f, standard).outcomes
+
+    @LAWS
+    @given(st.data())
+    def test_born_rule_reads_any_basis_as_its_standard_form(self, data):
+        """Outcomes and singletons come back on standard_basis(U) whatever the
+        state's basis is named; a basis whose vectors are not the singletons in
+        universe order is refused."""
+        u = data.draw(universes)
+        singletons = [frozenset((x,)) for x in u]
+        renamed = st.builds(
+            lambda name, names: check_basis(u, singletons, name, names),
+            st.sampled_from(["U", "B"]),
+            st.one_of(st.just(u.elements), st.permutations(u.elements),
+                      st.just([f"x{k}" for k in range(len(u))])),
+        )
+        basis = data.draw(st.one_of(renamed, bases(u, "V")))
+        s = SetKet(basis, data.draw(st.sets(st.sampled_from(basis.vector_names), min_size=1)))
+        standard = to_basis(s, standard_basis(u))
+        if not basis.is_standard:
+            with pytest.raises(BasisError):
+                born_distribution(s)
+            with pytest.raises(BasisError):
+                ketbra_resolve(standard, s)
+            return
+        assert born_distribution(s).outcomes == born_distribution(standard).outcomes
+        assert ketbra_resolve(standard, s) == ketbra_resolve(standard, standard)
 
 
 # Numerically equal tokens in several spellings, other numbers, and text.

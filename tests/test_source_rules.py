@@ -43,3 +43,25 @@ def test_library_distributions_skip_the_public_checks(path):
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "OutcomeDistribution"
     ]
     assert not lines, f"{path.name} calls OutcomeDistribution( at lines {lines}"
+
+
+def test_only_generate_group_marks_a_group_closed():
+    """orbit_partition trusts TransformationGroup._closed and skips its group
+    check, so only generate_group, which builds the closure, may set it."""
+    setters = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {
+            id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "generate_group"
+            and path.name == "group_action.py" for node in ast.walk(fn)
+        }
+        setters += [
+            (path.name, node.lineno, id(node) in allowed) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == "_closed"
+            or isinstance(node, ast.Attribute) and node.attr == "_closed"
+            and not isinstance(node.ctx, ast.Load)
+        ]
+    outside = [(name, line) for name, line, inside in setters if not inside]
+    assert not outside, f"_closed is set outside generate_group at {outside}"
+    assert any(inside for _, _, inside in setters), "generate_group no longer sets _closed"
