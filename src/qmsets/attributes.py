@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Mapping, Sequence
 
 from .errors import CompatibilityError, QmSetsError
-from .gf2 import SetKet, standard_ket
-from .universe import SetPartition, Universe, join as partition_join
+from .gf2 import SetKet, standard_basis
+from .universe import SetPartition, Universe
 
 
 def value_sort_key(token: str):
@@ -96,18 +96,17 @@ def join_attributes(fs: Sequence[Attribute]) -> AnnotatedJoin:
     """Iterated join of the attributes' partitions, blocks tagged (r,...,s)."""
     if not fs:
         raise QmSetsError("join_attributes needs at least one attribute")
-    universe = fs[0].universe
     for g in fs[1:]:
         if not compatible(fs[0], g):
             raise CompatibilityError(
                 f"attributes {fs[0].name!r} and {g.name!r} are incompatible"
             )
-    part = inverse_image_partition(fs[0])
-    for g in fs[1:]:
-        part = partition_join(part, inverse_image_partition(g))
-    firsts = [(m & -m).bit_length() - 1 for m in part.masks]
-    tuples = tuple(tuple(f.values[i] for f in fs) for i in firsts)
-    return AnnotatedJoin(part, tuples)
+    # A block is the elements sharing a value tuple.  Each tuple first
+    # appears at its block's least element, so blocks come in canonical order.
+    blocks: dict[tuple[str, ...], int] = {}
+    for i, key in enumerate(zip(*(f.values for f in fs))):
+        blocks[key] = blocks.get(key, 0) | 1 << i
+    return AnnotatedJoin(SetPartition(fs[0].universe, tuple(blocks.values())), tuple(blocks))
 
 
 def is_csca(fs: Sequence[Attribute]) -> bool:
@@ -118,8 +117,8 @@ def is_csca(fs: Sequence[Attribute]) -> bool:
 
 def eigen_sets(f: Attribute, r: str) -> list[SetKet]:
     """All nonzero vectors of the eigenspace for value r: nonempty S within f^-1(r)."""
-    support = f.universe.labels_of(f._spectrum.get(r, 0))
-    subsets = chain.from_iterable(
-        combinations(support, k) for k in range(1, len(support) + 1)
-    )
-    return [standard_ket(f.universe, s) for s in subsets]
+    preimage = f._spectrum.get(r, 0)
+    bits = [1 << i for i in range(preimage.bit_length()) if preimage >> i & 1]
+    basis = standard_basis(f.universe)
+    return [SetKet._of(basis, sum(c)) for k in range(1, len(bits) + 1)
+            for c in combinations(bits, k)]

@@ -23,7 +23,6 @@ from .gf2 import (
     apply_map,
     is_nonsingular,
     standard_basis,
-    standard_ket,
 )
 from .universe import SetPartition, _unchecked_new, join as partition_join, require_same_universe
 
@@ -138,8 +137,9 @@ class Projection:
     support: frozenset[str]
 
     def __call__(self, s: SetKet) -> SetKet:
-        subset = s.universe.labels_of(_standard_bits(s))
-        return standard_ket(s.universe, self.support.intersection(subset))
+        bits, positions = _standard_bits(s), s.universe.positions
+        support = sum(1 << positions[u] for u in self.support if u in positions)
+        return SetKet._of(_standard_basis_of(s), support & bits)
 
 
 def spectral_decompose(f: Attribute) -> list[tuple[str, Projection]]:

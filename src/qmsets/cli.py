@@ -106,7 +106,7 @@ class _Runner:
         elif self.fmt == "json":
             self.emit(cmd, json.dumps(record(), sort_keys=True))
         else:
-            self.emit(cmd, title + "\n" + _aligned(rows()) if title else _aligned(rows()))
+            self.emit(cmd, title + "\n" + _aligned(rows()))
 
     def line(self, cmd: Command, text: Callable, record: Callable) -> None:
         if self.fmt == "json":

@@ -18,7 +18,7 @@ from .universe import Universe, _unchecked_new, braced
 DEFAULT_KET_TABLE_BOUND = 10
 
 
-subset_to_bits = Universe.mask_of  # (universe, labels); an alias saves a frame per call
+subset_to_bits = Universe.mask_of  # (universe, labels); tests/test_gf2.py imports it
 _single_bits = cache(lambda n: tuple(1 << i for i in range(n)))  # standard masks, once per n
 
 
@@ -76,9 +76,10 @@ def gf2_solve(columns: Sequence[int], target: int) -> int:
     return solution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Basis:
-    """An ordered list of |U| GF(2)-independent subsets of the universe.
+    """An ordered list of |U| GF(2)-independent subsets of the universe, held
+    as their masks (bit i = element i); `vectors` is the label view.
 
     Construct through check_basis or standard_basis, which validate
     independence; the raw constructor checks only that the labels are in U
@@ -88,16 +89,22 @@ class Basis:
     universe: Universe
     name: str
     vector_names: tuple[str, ...]
-    vectors: tuple[frozenset[str], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
+    positions: dict[str, int] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(map(self.universe.mask_of, self.vectors)))
-        object.__setattr__(self, "positions", {n: j for j, n in enumerate(self.vector_names)})
-        if len(self.positions) != len(self.vectors):
-            n = len(self.universe)
-            raise BasisError(f"basis {self.name!r} needs {n} distinct vector names")
+    def __init__(self, universe: Universe, name: str, vector_names: tuple[str, ...],
+                 vectors: Sequence[Iterable[str]]):
+        masks = tuple(map(universe.mask_of, vectors))
+        positions = {n: j for j, n in enumerate(vector_names)}
+        if len(positions) != len(masks):
+            raise BasisError(f"basis {name!r} needs {len(universe)} distinct vector names")
+        values = (universe, name, vector_names, masks, positions)
+        for key, value in zip(self.__match_args__, values):
+            object.__setattr__(self, key, value)
+
+    @property
+    def vectors(self) -> tuple[frozenset[str], ...]:
+        return tuple(frozenset(self.universe.labels_of(m)) for m in self.masks)
 
     @property
     def is_standard(self) -> bool:
@@ -123,12 +130,7 @@ class Basis:
 
 
 def standard_basis(universe: Universe, name: str = "U") -> Basis:
-    return Basis(
-        universe,
-        name,
-        universe.elements,
-        tuple(frozenset((u,)) for u in universe.elements),
-    )
+    return Basis(universe, name, universe.elements, [(u,) for u in universe.elements])
 
 
 def check_basis(

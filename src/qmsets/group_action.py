@@ -66,8 +66,8 @@ class Permutation:
         )
 
     def inverse(self) -> "Permutation":
-        mapping = {v: u for u, v in zip(self.universe.elements, self.images)}
-        return Permutation.from_mapping(self.universe, mapping)
+        preimage = dict(zip(self.images, self.universe.elements))
+        return Permutation._unchecked(self.universe, tuple(preimage[v] for v in self.universe))
 
     def apply_set(self, labels: Iterable[str]) -> frozenset[str]:
         return frozenset(self(u) for u in labels)
@@ -198,5 +198,6 @@ def is_invariant(g: TransformationGroup, s: SetKet) -> bool:
     """True iff every group element maps the subset into itself."""
     if g.universe != s.universe:
         raise CompatibilityError("group and state on different universes")
-    subset = s.to_subset()
-    return all(t.apply_set(subset) <= subset for t in g.elements)
+    bits, positions = s._bits(), s.universe.positions
+    members = [i for i in range(bits.bit_length()) if bits >> i & 1]
+    return all(bits >> positions[t.images[i]] & 1 for t in g.elements for i in members)

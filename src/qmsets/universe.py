@@ -69,10 +69,6 @@ class Universe:
             mask |= 1 << self.position(label)
         return mask
 
-    def sort_labels(self, labels: Iterable[str]) -> tuple[str, ...]:
-        """Return the labels as a tuple in universe order, validating membership."""
-        return self.labels_of(self.mask_of(labels))
-
     def labels_of(self, mask: int) -> tuple[str, ...]:
         """The labels whose bits are set in the mask, in universe order."""
         labels = []
@@ -159,7 +155,7 @@ class SetPartition:
     def block_of(self, label: str) -> tuple[str, ...]:
         if label not in self.universe:
             raise QmSetsError(f"label {label!r} not in any block")
-        bit = 1 << self.universe.position(label)
+        bit = 1 << self.universe.positions[label]
         return next(self.universe.labels_of(m) for m in self.masks if m & bit)
 
     def block_sets(self) -> list[frozenset[str]]:

@@ -4,6 +4,7 @@ import pytest
 
 from qmsets import (
     Attribute,
+    CompatibilityError,
     QmSetsError,
     SetPartition,
     Universe,
@@ -136,3 +137,12 @@ class TestEigenSets:
         for p in enumerate_partitions(u4):
             h = attr_from_partition(u4, p)
             assert sum(len(h.preimage(r)) for r in h.attained_values()) == len(u4)
+
+
+class TestAcrossUniverses:
+    def test_join_and_csca_name_both_attributes(self, f, g):
+        other = Attribute.from_mapping("h", Universe.of("abd"), {"a": "1", "b": "2", "d": "3"})
+        for call in (join_attributes, is_csca):
+            with pytest.raises(CompatibilityError) as exc:
+                call([f, g, other])
+            assert str(exc.value) == "attributes 'f' and 'h' are incompatible"

@@ -37,6 +37,7 @@ from qmsets import (
     to_basis,
 )
 from qmsets.gf2 import bits_to_subset
+from qmsets.calculus import Projection
 
 
 @pytest.fixture
@@ -467,3 +468,14 @@ class TestCscaErrors:
             with pytest.raises(EmptyStateError) as exc:
                 csca_measure([f, g], s, seed=0)
             assert str(exc.value) == "cannot measure the empty state"
+
+
+class TestMaskProjectionAndJoin:
+    def test_measurement_join_across_universes_raises(self, f):
+        with pytest.raises(CompatibilityError):
+            measurement_join(f, standard_ket(Universe.of("ab"), "ab"))
+
+    def test_projection_ignores_support_labels_outside_the_universe(self, u3):
+        projected = Projection(frozenset({"a", "c", "z", "?"}))(standard_ket(u3, "abc"))
+        assert projected == standard_ket(u3, "ac")
+        assert Projection(frozenset({"z"}))(standard_ket(u3, "ab")) == standard_ket(u3, "")

@@ -230,3 +230,12 @@ class TestVectorNames:
         with pytest.raises(BasisError) as exc:
             check_basis(u3, [{"a"}, {"b"}, {"c"}], "B", names)
         assert str(exc.value) == "basis 'B' needs 3 distinct vector names"
+
+
+class TestRawBasisChecks:
+    def test_a_label_outside_the_universe_is_reported_before_a_repeated_name(self, u3):
+        vectors = (frozenset("a"), frozenset("b"), frozenset("z"))
+        with pytest.raises(QmSetsError) as exc:
+            Basis(u3, "B", ("x", "x", "z"), vectors)
+        assert type(exc.value) is QmSetsError
+        assert str(exc.value) == "label 'z' is not in the universe"

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from qmsets import (
+    CompatibilityError,
     GroupError,
     Permutation,
     QmSetsError,
@@ -178,3 +179,10 @@ class TestLabelsOutsideTheUniverse:
     def test_label_repeated_within_a_cycle(self, u3):
         with pytest.raises(QmSetsError, match="^label 'a' repeated within a cycle$"):
             Permutation.from_cycles(u3, [("a", "b", "a")])
+
+
+class TestInvariantAcrossUniverses:
+    def test_group_and_state_on_different_universes_raise(self, u3):
+        g = generate_group([perm(u3, "ab")])
+        with pytest.raises(CompatibilityError, match="^group and state on different universes$"):
+            is_invariant(g, standard_ket(Universe.of("ab"), "ab"))

@@ -18,6 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmsets import (
     Attribute,
+    Basis,
     BasisError,
     CompatibilityError,
     GroupError,
@@ -42,12 +44,15 @@ from qmsets import (
     csca_final_distribution,
     discrete,
     dit,
+    eigen_sets,
     enumerate_partitions,
     generate_group,
     indiscrete,
     is_csca,
+    is_invariant,
     is_nonsingular,
     join,
+    join_attributes,
     ket_table,
     ketbra_resolve,
     logical_entropy,
@@ -65,6 +70,7 @@ from qmsets import (
     to_basis,
 )
 from qmsets.attributes import value_sort_key
+from qmsets.calculus import Projection
 from qmsets.cli import main
 
 from conftest import UnionFind
@@ -810,3 +816,136 @@ class TestLibraryDistributions:
         u, _, subset = ufs
         d = born_distribution(standard_ket(u, subset))
         assert OutcomeDistribution(d.state, d.outcomes) == d
+
+
+@st.composite
+def raw_basis_args(draw, universe):
+    """(name, vector names, vectors) for the raw Basis constructor: any label
+    sets, not necessarily independent, each under its own name."""
+    n = len(universe)
+    vectors = draw(st.lists(st.frozensets(st.sampled_from(universe.elements)),
+                            min_size=n, max_size=n))
+    names = draw(st.permutations([f"v{k}" for k in range(n)]))
+    return draw(st.sampled_from("VW")), tuple(names), tuple(vectors)
+
+
+@st.composite
+def two_raw_basis_args(draw):
+    """A universe and two argument triples that differ in at most one place."""
+    universe = draw(universes)
+    a, b = draw(raw_basis_args(universe)), draw(raw_basis_args(universe))
+    k = draw(st.integers(0, 3))  # 3: no argument taken from b
+    return universe, a, tuple(b[i] if i == k else a[i] for i in range(3))
+
+
+class TestMaskBases:
+    """A basis holds its vectors as masks; the label sets are a view of them."""
+
+    def test_a_basis_is_its_masks(self):
+        assert [f.name for f in fields(Basis)] == [
+            "universe", "name", "vector_names", "masks", "positions"]
+
+    @LAWS
+    @given(st.data())
+    def test_vectors_are_the_label_view_of_the_masks(self, data):
+        u = data.draw(universes)
+        name, names, vectors = data.draw(raw_basis_args(u))
+        b = Basis(u, name, names, [sorted(v, reverse=True) for v in vectors])
+        assert b.vectors == vectors
+        assert all(type(v) is frozenset for v in b.vectors)
+        assert b.masks == tuple(sum(1 << u.elements.index(x) for x in v) for v in vectors)
+        assert b.positions == {x: j for j, x in enumerate(names)}
+
+    @LAWS
+    @given(two_raw_basis_args())
+    def test_equal_and_hash_alike_iff_the_public_fields_are_equal(self, uab):
+        u, a, c = uab
+        b1, b2 = Basis(u, *a), Basis(u, c[0], c[1], [list(v) for v in c[2]])
+        assert (b1 == b2) == (a == c)
+        if a == c:
+            assert hash(b1) == hash(b2)
+
+
+def join_by_labels(fs):
+    """Iterated join of the attributes' inverse-image partitions, built from
+    labels, with each block's values read at its least element."""
+    u = fs[0].universe
+    preimages = [SetPartition.from_blocks(u, [[x for x in u if f(x) == r] for r in set(f.values)])
+                 for f in fs]
+    part = preimages[0]
+    for q in preimages[1:]:
+        part = join(part, q)
+    return part, tuple(tuple(f(block[0]) for f in fs) for block in part.blocks)
+
+
+@st.composite
+def universe_and_attributes(draw):
+    universe = draw(universes)
+    count = draw(st.integers(1, 3))
+    return universe, [draw(attributes(universe, f"f{i}")) for i in range(count)]
+
+
+@st.composite
+def group_and_state(draw):
+    """A generated group and a state that is a union of its orbits about half the time."""
+    universe = draw(universes)
+    images = draw(st.lists(st.permutations(universe.elements), min_size=1, max_size=3))
+    group = generate_group([Permutation(universe, tuple(im)) for im in images], universe)
+    orbits = orbit_partition(group).block_sets()
+    chosen = draw(st.lists(st.sampled_from(orbits), unique=True))
+    subset = draw(st.one_of(st.just(frozenset().union(*chosen)),
+                            st.frozensets(st.sampled_from(universe.elements))))
+    return universe, group, subset, draw(bases(universe, "V"))
+
+
+class TestMasksAgainstLabels:
+    """The mask-level operations against label-level references."""
+
+    @LAWS
+    @given(universe_and_attributes())
+    def test_join_attributes_is_the_iterated_join(self, ufs):
+        _, fs = ufs
+        joined = join_attributes(fs)
+        assert (joined.partition, joined.block_values) == join_by_labels(fs)
+
+    @LAWS
+    @given(universe_attribute_state())
+    def test_eigen_sets_are_the_label_combinations(self, ufs):
+        u, f, _ = ufs
+        for r in [*f.attained_values(), "unattained"]:
+            support = [x for x in u if f(x) == r]
+            subsets = [c for k in range(1, len(support) + 1) for c in combinations(support, k)]
+            kets = eigen_sets(f, r)
+            assert [k.to_subset() for k in kets] == [frozenset(c) for c in subsets]
+            for k, c in zip(kets, subsets):
+                assert k.basis == standard_basis(u)
+                assert_public(k, c)
+
+    @LAWS
+    @given(universe_attribute_state(), st.frozensets(st.sampled_from(["a", "b", "?", "zz"])))
+    def test_projection_is_the_label_intersection(self, ufs, extra):
+        u, f, subset = ufs
+        for r in f.attained_values():
+            support = f.preimage(r) | extra
+            for basis in (standard_basis(u), standard_basis(u, "S")):
+                image = Projection(support)(SetKet(basis, subset))
+                assert image.basis == standard_basis(u)
+                assert_public(image, support & subset)
+
+    @LAWS
+    @given(group_and_state())
+    def test_is_invariant_is_apply_set_inclusion(self, ugs):
+        u, group, subset, v = ugs
+        want = all(t.apply_set(subset) <= subset for t in group)
+        for s in (standard_ket(u, subset), to_basis(standard_ket(u, subset), v)):
+            assert is_invariant(group, s) == want
+            assert is_invariant(TransformationGroup(u, group.elements), s) == want
+
+    @LAWS
+    @given(st.data())
+    def test_inverse_is_the_reversed_mapping(self, data):
+        u = data.draw(universes)
+        t = Permutation(u, tuple(data.draw(st.permutations(u.elements))))
+        want = Permutation.from_mapping(u, {v: x for x, v in zip(u, t.images)})
+        assert t.inverse() == want and hash(t.inverse()) == hash(want)
+        assert t.compose(t.inverse()) == Permutation.identity(u) == t.inverse().compose(t)

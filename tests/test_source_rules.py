@@ -65,3 +65,16 @@ def test_only_generate_group_marks_a_group_closed():
     outside = [(name, line) for name, line, inside in setters if not inside]
     assert not outside, f"_closed is set outside generate_group at {outside}"
     assert any(inside for _, _, inside in setters), "generate_group no longer sets _closed"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_kets_skip_standard_ket(path):
+    """standard_ket checks each label and builds a fresh standard basis; the
+    library already holds masks and builds its kets with SetKet._of."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "standard_ket"
+    ]
+    assert not lines, f"{path.name} calls standard_ket( at lines {lines}"
