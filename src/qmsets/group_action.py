@@ -18,28 +18,29 @@ DEFAULT_CLOSURE_BOUND = 10080
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of the universe, stored as the image tuple in universe order."""
+    """A bijection of the universe, held as positions: targets[i] is the
+    position of the image of element i.  `images` is the label view."""
 
     universe: Universe
-    images: tuple[str, ...]
+    targets: tuple[int, ...]
 
-    def __post_init__(self):
-        if sorted(self.images) != sorted(self.universe.elements):
+    def __init__(self, universe: Universe, images: Sequence[str]):
+        if sorted(images) != sorted(universe.elements):
             raise QmSetsError("mapping is not a bijection of the universe")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "targets", tuple(map(universe.positions.get, images)))
 
-    # (universe, images) already known to be a bijection.
+    # (universe, targets) already known to be a bijection.
     _unchecked = classmethod(_unchecked_new)
 
     @classmethod
     def identity(cls, universe: Universe) -> "Permutation":
-        return cls._unchecked(universe, universe.elements)
+        return cls._unchecked(universe, tuple(range(len(universe))))
 
     @classmethod
     def from_mapping(cls, universe: Universe, mapping: dict[str, str]) -> "Permutation":
         universe.mask_of([*mapping, *mapping.values()])  # a label outside U raises
-        return cls(
-            universe, tuple(mapping.get(u, u) for u in universe.elements)
-        )
+        return cls(universe, [mapping.get(u, u) for u in universe.elements])
 
     @classmethod
     def from_cycles(cls, universe: Universe, cycles: Sequence[Sequence[str]]) -> "Permutation":
@@ -53,38 +54,35 @@ class Permutation:
                 mapping[label] = cycle[(i + 1) % len(cycle)]
         return cls.from_mapping(universe, mapping)
 
+    @property
+    def images(self) -> tuple[str, ...]:
+        return tuple(map(self.universe.elements.__getitem__, self.targets))
+
     def __call__(self, label: str) -> str:
-        return self.images[self.universe.position(label)]
+        return self.universe.elements[self.targets[self.universe.position(label)]]
 
     def compose(self, then: "Permutation") -> "Permutation":
         """Apply self first, then the other permutation."""
         if self.universe != then.universe:
             raise CompatibilityError("permutations on different universes")
-        positions, images = self.universe.positions, then.images
-        return Permutation._unchecked(
-            self.universe, tuple(images[positions[v]] for v in self.images)
-        )
+        return Permutation._unchecked(self.universe, tuple(then.targets[i] for i in self.targets))
 
     def inverse(self) -> "Permutation":
-        preimage = dict(zip(self.images, self.universe.elements))
-        return Permutation._unchecked(self.universe, tuple(preimage[v] for v in self.universe))
+        # Position j's preimage is the i with targets[i] == j.
+        preimages = sorted(range(len(self.targets)), key=self.targets.__getitem__)
+        return Permutation._unchecked(self.universe, tuple(preimages))
 
     def apply_set(self, labels: Iterable[str]) -> frozenset[str]:
         return frozenset(self(u) for u in labels)
 
     def cycle_string(self) -> str:
-        seen: set[str] = set()
-        parts = []
-        for u in self.universe:
-            if u in seen:
-                continue
-            cycle = [u]
-            seen.add(u)
-            v = self(u)
-            while v != u:
-                cycle.append(v)
-                seen.add(v)
-                v = self(v)
+        labels, seen, parts = self.universe.elements, set(), []
+        for start in range(len(labels)):
+            cycle, i = [], start
+            while i not in seen:
+                seen.add(i)
+                cycle.append(labels[i])
+                i = self.targets[i]
             if len(cycle) > 1:
                 parts.append("(" + " ".join(cycle) + ")")
         return "".join(parts) or "()"
@@ -127,8 +125,9 @@ def generate_group(
     universe: Universe | None = None,
     bound: int = DEFAULT_CLOSURE_BOUND,
 ) -> TransformationGroup:
-    """Smallest group containing the generators, by breadth-first closure
-    under products with them (a finite monoid of permutations is a group)."""
+    """Smallest group containing the generators: the closure of the identity
+    under products with them (a finite monoid of permutations is a group),
+    run on bare target tuples, each wrapped as a Permutation once at the end."""
     if universe is None:
         if not generators:
             raise QmSetsError("generate_group needs a universe when generators are empty")
@@ -136,35 +135,29 @@ def generate_group(
     for g in generators:
         if g.universe != universe:
             raise CompatibilityError("generators on different universes")
-    elements: set[Permutation] = {Permutation.identity(universe)}
-    frontier = list(elements)
-    while frontier:
-        new: list[Permutation] = []
-        for t in frontier:
-            for g in generators:
-                composed = t.compose(g)
-                if composed not in elements:
-                    elements.add(composed)
-                    new.append(composed)
-                    if len(elements) > bound:
-                        raise BoundError(f"group closure exceeded bound {bound}")
-        frontier = new
-    group = TransformationGroup(universe, frozenset(elements))
+    gens = [g.targets for g in generators]
+    found = [tuple(range(len(universe)))]
+    elements = set(found)
+    for t in found:  # found grows as it is walked, so each element is taken once
+        if len(found) > bound:
+            raise BoundError(f"group closure exceeded bound {bound}")
+        for g in gens:
+            composed = tuple(g[i] for i in t)
+            if composed not in elements:
+                elements.add(composed)
+                found.append(composed)
+    group = TransformationGroup(
+        universe, frozenset(Permutation._unchecked(universe, t) for t in found)
+    )
     object.__setattr__(group, "_closed", True)  # the only place a group is known closed
     return group
 
 
 def verify_group_axioms(g: TransformationGroup) -> AxiomReport:
     """Report any violated group axiom with a witness."""
-    identity = Permutation.identity(g.universe)
-    has_identity = identity in g.elements
-    missing_inverses = tuple(
-        sorted(
-            (t for t in g.elements if t.inverse() not in g.elements),
-            key=lambda t: t.images,
-        )
-    )
     ordered = sorted(g.elements, key=lambda t: t.images)
+    has_identity = Permutation.identity(g.universe) in g.elements
+    missing_inverses = tuple(t for t in ordered if t.inverse() not in g.elements)
     violations = [
         (t, s) for t in ordered for s in ordered if t.compose(s) not in g.elements
     ]
@@ -181,7 +174,7 @@ def orbit_partition(g: TransformationGroup) -> SetPartition:
         gens: list[Permutation] = []
         span = frozenset([Permutation.identity(g.universe)])
         try:
-            for t in sorted(g.elements, key=lambda t: t.images):
+            for t in sorted(g.elements, key=lambda t: t.targets):
                 if t not in span:
                     gens.append(t)
                     span = generate_group(gens, g.universe, bound=len(g)).elements
@@ -189,8 +182,8 @@ def orbit_partition(g: TransformationGroup) -> SetPartition:
             span = None
         if span != g.elements:
             raise GroupError("not a group: its elements generate a different set")
-    # Orbit i is column i of the image tuples: {t(u_i) : t in G}.
-    orbits = set(map(g.universe.mask_of, zip(*(t.images for t in g))))
+    # Orbit i is column i of the target tuples, {t(u_i) : t in G}, as a mask.
+    orbits = {sum(1 << j for j in set(column)) for column in zip(*(t.targets for t in g))}
     return SetPartition._from_masks(g.universe, orbits)
 
 
@@ -198,6 +191,6 @@ def is_invariant(g: TransformationGroup, s: SetKet) -> bool:
     """True iff every group element maps the subset into itself."""
     if g.universe != s.universe:
         raise CompatibilityError("group and state on different universes")
-    bits, positions = s._bits(), s.universe.positions
+    bits = s._bits()
     members = [i for i in range(bits.bit_length()) if bits >> i & 1]
-    return all(bits >> positions[t.images[i]] & 1 for t in g.elements for i in members)
+    return all(bits >> t.targets[i] & 1 for t in g.elements for i in members)

@@ -186,3 +186,12 @@ class TestInvariantAcrossUniverses:
         g = generate_group([perm(u3, "ab")])
         with pytest.raises(CompatibilityError, match="^group and state on different universes$"):
             is_invariant(g, standard_ket(Universe.of("ab"), "ab"))
+
+
+class TestImageInput:
+    @pytest.mark.parametrize("kind", [tuple, list, "".join], ids=["tuple", "list", "str"])
+    @pytest.mark.parametrize("images, cycles", [("bac", ["ab"]), ("abc", [])])
+    def test_equal_and_hash_alike_whatever_the_sequence(self, u3, kind, images, cycles):
+        t, want = Permutation(u3, kind(images)), perm(u3, *cycles)
+        assert t == want and hash(t) == hash(want)
+        assert t.images == tuple(images)

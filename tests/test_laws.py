@@ -28,6 +28,7 @@ from qmsets import (
     Attribute,
     Basis,
     BasisError,
+    BoundError,
     CompatibilityError,
     GroupError,
     LinearMap,
@@ -68,6 +69,7 @@ from qmsets import (
     standard_basis,
     standard_ket,
     to_basis,
+    verify_group_axioms,
 )
 from qmsets.attributes import value_sort_key
 from qmsets.calculus import Projection
@@ -401,8 +403,8 @@ class TestGF2:
     def test_paper_order_rows_follow_the_oracle(self, data):
         u = data.draw(universes_to_8)
         v, w = data.draw(bases(u, "V")), data.draw(bases(u, "W"))
-        expected = [[coordinates(b)[s] for b in (standard_basis(u), v, w)]
-                    for s in paper_order_subsets(u)]
+        tables = [coordinates(b) for b in (standard_basis(u), v, w)]
+        expected = [[t[s] for t in tables] for s in paper_order_subsets(u)]
         rows = ket_table([standard_basis(u), v, w], paper_order=True)
         assert [[in_basis_order(k.basis, k.coords) for k in row] for row in rows] == expected
         scenario = parse_scenario(
@@ -949,3 +951,85 @@ class TestMasksAgainstLabels:
         want = Permutation.from_mapping(u, {v: x for x, v in zip(u, t.images)})
         assert t.inverse() == want and hash(t.inverse()) == hash(want)
         assert t.compose(t.inverse()) == Permutation.identity(u) == t.inverse().compose(t)
+
+
+def closure_by_labels(universe, generators):
+    """The image tuples reached from the identity by breadth-first products
+    with the generators, each composed through a dict of labels."""
+    identity = tuple(universe)
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        new = []
+        for images in frontier:
+            for g in generators:
+                step = dict(zip(universe, g.images))
+                composed = tuple(step[v] for v in images)
+                if composed not in seen:
+                    seen.add(composed)
+                    new.append(composed)
+        frontier = new
+    return seen
+
+
+@st.composite
+def universe_and_permutations(draw, min_size=1, max_size=3):
+    universe = draw(universes.filter(lambda u: len(u) <= 5))
+    images = draw(st.lists(st.permutations(universe.elements),
+                           min_size=min_size, max_size=max_size))
+    return universe, [Permutation(universe, tuple(im)) for im in images]
+
+
+class TestPermutationsAgainstLabels:
+    """The position-level permutation operations against label-level references."""
+
+    @LAWS
+    @given(universe_and_permutations(2, 2))
+    def test_compose_is_dict_composition(self, ups):
+        u, (t, s) = ups
+        first, then = dict(zip(u, t.images)), dict(zip(u, s.images))
+        want = Permutation.from_mapping(u, {x: then[first[x]] for x in u})
+        assert t.compose(s) == want and hash(t.compose(s)) == hash(want)
+        assert t.compose(s).images == tuple(then[first[x]] for x in u)
+
+    @LAWS
+    @given(universe_and_permutations(1, 1))
+    def test_images_rebuild_the_permutation(self, ups):
+        u, (t,) = ups
+        assert Permutation(u, t.images) == t and hash(Permutation(u, t.images)) == hash(t)
+        assert Permutation(u, list(t.images)) == t
+        assert [t(x) for x in u] == list(t.images)
+
+    @LAWS
+    @given(universe_and_permutations(1, 1))
+    def test_cycle_string_round_trips(self, ups):
+        u, (t,) = ups
+        text = t.cycle_string()
+        cycles = [c.split() for c in text[1:-1].split(")(")] if text != "()" else []
+        assert Permutation.from_cycles(u, cycles) == t
+
+    @LAWS
+    @given(universe_and_permutations(0, 3), st.integers(0, 130))
+    def test_closure_is_the_label_closure_within_its_bound(self, ups, bound):
+        u, gens = ups
+        want = closure_by_labels(u, gens)
+        for b in (0, 1, bound, len(want) - 1, len(want)):
+            if len(want) > b:
+                with pytest.raises(BoundError, match=f"^group closure exceeded bound {b}$"):
+                    generate_group(gens, u, bound=b)
+            else:
+                group = generate_group(gens, u, bound=b)
+                assert {t.images for t in group} == want
+                assert group.elements == {Permutation(u, im) for im in want}
+
+    def test_axiom_witnesses_are_in_image_order(self):
+        u = Universe.of("dcba")
+        ab, abc, abcd = (Permutation.from_cycles(u, [c]) for c in ("ab", "abc", "abcd"))
+        report = verify_group_axioms(TransformationGroup(u, frozenset([ab, abc, abcd])))
+        by_images = [abcd, abc, ab]  # images (a d c b), (d a c b), (d c a b)
+        assert by_images == sorted(by_images, key=lambda t: t.images)
+        assert by_images != sorted(by_images, key=lambda t: t.targets)
+        assert report.missing_inverses == (abcd, abc)
+        assert report.closure_violations == tuple(
+            (t, s) for t in by_images for s in by_images
+            if t.compose(s) not in (ab, abc, abcd)
+        )
