@@ -24,7 +24,7 @@ from .gf2 import (
     is_nonsingular,
     standard_basis,
 )
-from .universe import SetPartition, _unchecked_new, join as partition_join, require_same_universe
+from .universe import SetPartition, join as partition_join, require_same_universe
 
 
 def _standard_bits(s: SetKet) -> int:
@@ -82,6 +82,14 @@ class Outcome:
     probability: Fraction
     collapsed: SetKet
 
+    @classmethod
+    def _of(cls, value: str, probability: Fraction, collapsed: SetKet) -> "Outcome":
+        """Outcome(value, probability, collapsed) for the library's own outcomes."""
+        obj = object.__new__(cls)
+        d = obj.__dict__
+        d["value"], d["probability"], d["collapsed"] = value, probability, collapsed
+        return obj
+
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
@@ -90,8 +98,13 @@ class OutcomeDistribution:
     state: SetKet
     outcomes: tuple[Outcome, ...]
 
-    # (state, outcomes) built valid by the library; the public constructor checks.
-    _of = classmethod(_unchecked_new)
+    @classmethod
+    def _of(cls, state: SetKet, outcomes: tuple[Outcome, ...]) -> "OutcomeDistribution":
+        """(state, outcomes) built valid by the library; the public constructor checks."""
+        obj = object.__new__(cls)
+        d = obj.__dict__
+        d["state"], d["outcomes"] = state, outcomes
+        return obj
 
     def __post_init__(self):
         total = sum((o.probability for o in self.outcomes), Fraction(0))
@@ -123,11 +136,12 @@ def born_distribution(s: SetKet) -> OutcomeDistribution:
     if not bits:
         raise EmptyStateError("cannot condition on the empty state")
     basis, p = _standard_basis_of(s), Fraction(1, bits.bit_count())
-    outcomes = tuple(
-        Outcome(u, p, SetKet._of(basis, 1 << i))
-        for i, u in enumerate(basis.vector_names) if bits >> i & 1
-    )
-    return OutcomeDistribution._of(s, outcomes)
+    names, outcomes = basis.vector_names, []
+    while bits:  # one outcome per set bit, lowest first
+        low = bits & -bits
+        outcomes.append(Outcome._of(names[low.bit_length() - 1], p, SetKet._of(basis, low)))
+        bits ^= low
+    return OutcomeDistribution._of(s, tuple(outcomes))
 
 
 @dataclass(frozen=True)
@@ -165,8 +179,8 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
         s = SetKet._of(standard_basis(f.universe), bits)
     size = bits.bit_count()
     return OutcomeDistribution._of(s, tuple(
-        Outcome(r, Fraction(inter.bit_count(), size),
-                SetKet._of(standard_basis(f.universe), inter))
+        Outcome._of(r, Fraction(inter.bit_count(), size),
+                    SetKet._of(standard_basis(f.universe), inter))
         for r, m in f._spectrum.items() if (inter := m & bits)
     ))
 

@@ -64,7 +64,9 @@ def lattice_render(
     at bottom; an edge p -> q means q covers p in the refinement order
     (p is finer).
     """
-    names = {p.masks: str(p) for p in enumerate_partitions(universe, bound=bound)}
+    partitions = enumerate_partitions(universe, bound=bound)  # checks the bound first
+    texts = [braced(universe.labels_of(m)) for m in range(1 << len(universe))]  # text by mask
+    names = {p.masks: "|".join(map(texts.__getitem__, p.masks)) for p in partitions}
     by_rank: dict[int, list[str]] = {}
     for ms, name in names.items():
         by_rank.setdefault(len(ms), []).append(name)

@@ -13,7 +13,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import BasisError, BoundError, CompatibilityError
-from .universe import Universe, _unchecked_new, braced
+from .universe import Universe, braced
 
 DEFAULT_KET_TABLE_BOUND = 10
 
@@ -180,8 +180,13 @@ class SetKet:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "mask", basis.mask_of(coords))
 
-    # (basis, mask) with the mask already known to fit the basis.
-    _of = classmethod(_unchecked_new)
+    @classmethod
+    def _of(cls, basis: Basis, mask: int) -> "SetKet":
+        """(basis, mask) with the mask already known to fit the basis."""
+        obj = object.__new__(cls)
+        d = obj.__dict__
+        d["basis"], d["mask"] = basis, mask
+        return obj
 
     @property
     def universe(self) -> Universe:

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .errors import BoundError, CompatibilityError, GroupError, QmSetsError
 from .gf2 import SetKet
-from .universe import SetPartition, Universe, _unchecked_new
+from .universe import SetPartition, Universe
 
 DEFAULT_CLOSURE_BOUND = 10080
 
@@ -30,8 +30,13 @@ class Permutation:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "targets", tuple(map(universe.positions.get, images)))
 
-    # (universe, targets) already known to be a bijection.
-    _unchecked = classmethod(_unchecked_new)
+    @classmethod
+    def _unchecked(cls, universe: Universe, targets: tuple[int, ...]) -> "Permutation":
+        """(universe, targets) already known to be a bijection."""
+        obj = object.__new__(cls)
+        d = obj.__dict__
+        d["universe"], d["targets"] = universe, targets
+        return obj
 
     @classmethod
     def identity(cls, universe: Universe) -> "Permutation":

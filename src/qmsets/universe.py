@@ -6,7 +6,8 @@ views.  Two partitions of the same universe are therefore equal iff they are
 structurally equal, and every partition is hashable.  A dit-set is held as
 the partition it determines.  The invariants (nonempty, disjoint, covering)
 are checked once, in from_blocks; the library's own constructions build
-valid masks and skip the check.
+valid masks and skip the check.  Each type the library builds has such a
+constructor (_from_masks, _of, ...): it writes the fields into the instance dict.
 """
 
 from __future__ import annotations
@@ -79,14 +80,6 @@ class Universe:
         return tuple(labels)
 
 
-def _unchecked_new(cls, *values):
-    """The frozen dataclass cls with its fields set to values, in order, unchecked."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def braced(names: Iterable[str]) -> str:
     """The text form of a set: its names in the order given, in braces."""
     return "{" + ",".join(names) + "}"
@@ -103,7 +96,7 @@ def _brace_names(text: str) -> list[str]:
 
 
 def require_same_universe(a, b) -> None:
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise CompatibilityError(
             "operands are defined on different universes and are not compatible"
         )
@@ -145,7 +138,10 @@ class SetPartition:
     @classmethod
     def _from_masks(cls, universe: Universe, masks: Iterable[int]) -> "SetPartition":
         """Masks that already form a partition, in any order."""
-        return cls(universe, tuple(sorted(masks, key=_least_bit)))
+        obj = object.__new__(cls)
+        d = obj.__dict__
+        d["universe"], d["masks"] = universe, tuple(sorted(masks, key=_least_bit))
+        return obj
 
     @property
     def blocks(self) -> tuple[tuple[str, ...], ...]:
@@ -200,9 +196,12 @@ class DitSet:
 
     def __contains__(self, pair: object) -> bool:
         positions = self.universe.positions
-        if not (isinstance(pair, tuple) and len(pair) == 2 and set(pair) <= positions.keys()):
+        if not (isinstance(pair, tuple) and len(pair) == 2):
             return False
-        both = 1 << positions[pair[0]] | 1 << positions[pair[1]]
+        try:
+            both = 1 << positions[pair[0]] | 1 << positions[pair[1]]
+        except (KeyError, TypeError):  # not a label, or not even hashable
+            return False
         return all(m & both != both for m in self.partition.masks)
 
     def union(self, other: "DitSet") -> "DitSet":
@@ -237,10 +236,12 @@ def meet(p: SetPartition, q: SetPartition) -> SetPartition:
     with measurement semantics.
     """
     require_same_universe(p, q)
-    blocks = list(p.masks)
+    blocks = p.masks
     for c in q.masks:
-        merged = sum(b for b in blocks if b & c)  # disjoint masks: sum is union
-        blocks = [b for b in blocks if not b & c] + [merged]
+        hit = [b for b in blocks if b & c]
+        if len(hit) > 1:  # disjoint masks: their sum is their union
+            blocks = [b for b in blocks if not b & c]
+            blocks.append(sum(hit))
     return SetPartition._from_masks(p.universe, blocks)
 
 
@@ -250,9 +251,9 @@ def dit(p: SetPartition) -> DitSet:
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:
-    """True iff every block of p is contained in some block of q."""
+    """True iff every block of p lies in a block of q: meets exactly one of them."""
     require_same_universe(p, q)
-    return all(any(b & ~c == 0 for c in q.masks) for b in p.masks)
+    return sum(1 for b in p.masks for c in q.masks if b & c) == len(p.masks)
 
 
 def logical_entropy(p: SetPartition) -> Fraction:

@@ -1,0 +1,85 @@
+"""The paper's definitions, stated plainly on frozensets and Fraction.
+
+A partition is a frozenset of nonempty, disjoint blocks (frozensets of
+labels) that cover the universe.  A state is a nonempty subset S of the
+universe, an attribute a dict from labels to values.  Nothing here is
+shared with qmsets: each definition is the textbook one, written for
+clarity, not speed, and meant for universes of a few elements.
+"""
+
+from fractions import Fraction
+
+
+def set_partitions(labels):
+    """Every partition of the labels: the first label either starts a block
+    of its own or joins a block of a partition of the rest."""
+    labels = list(labels)
+    if not labels:
+        return [frozenset()]
+    first, rest = labels[0], labels[1:]
+    out = []
+    for p in set_partitions(rest):
+        out.append(p | {frozenset([first])})
+        for b in p:
+            out.append((p - {b}) | {b | {first}})
+    return out
+
+
+def join(p, q):
+    """The nonempty intersections of a block of p with a block of q."""
+    return frozenset(b & c for b in p for c in q if b & c)
+
+
+def meet(p, q):
+    """The blocks of p and q, merging any two that share an element until no
+    two do."""
+    blocks = set(p) | set(q)
+    while True:
+        pair = next(((b, c) for b in blocks for c in blocks if b != c and b & c), None)
+        if pair is None:
+            return frozenset(blocks)
+        blocks -= set(pair)
+        blocks.add(pair[0] | pair[1])
+
+
+def refines(p, q):
+    """Every block of p is contained in a block of q."""
+    return all(any(b <= c for c in q) for b in p)
+
+
+def block_of(p, u):
+    (b,) = [b for b in p if u in b]
+    return b
+
+
+def dit(p, labels):
+    """The distinctions of p: ordered pairs of labels in different blocks."""
+    return {(u, v) for u in labels for v in labels if block_of(p, u) != block_of(p, v)}
+
+
+def logical_entropy(p, labels):
+    """|dit(p)| / |U|^2."""
+    return Fraction(len(dit(p, labels)), len(labels) ** 2)
+
+
+def block_sizes(p):
+    """The block sizes, largest first."""
+    return sorted((len(b) for b in p), reverse=True)
+
+
+def born(state, labels):
+    """The Born rule on S: each u in S with probability 1/|S|, collapsing to {u};
+    outcomes in universe order."""
+    return [(u, Fraction(1, len(state)), frozenset([u])) for u in labels if u in state]
+
+
+def measure(f, state):
+    """Measuring f in state S: value r with probability |f^-1(r) & S| / |S|, by
+    counting, and collapse f^-1(r) & S; outcomes of nonzero probability, listed
+    by value (values here are numerals, ordered as numbers)."""
+    out = []
+    for r in sorted(set(f.values()), key=int):
+        collapse = frozenset(u for u in state if f[u] == r)
+        if collapse:
+            out.append((r, Fraction(len(collapse), len(state)), collapse))
+    return out

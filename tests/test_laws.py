@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import pickle
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
@@ -32,6 +33,7 @@ from qmsets import (
     CompatibilityError,
     GroupError,
     LinearMap,
+    Outcome,
     OutcomeDistribution,
     Permutation,
     SetKet,
@@ -227,6 +229,15 @@ class TestDitSet:
                 assert (x, y, y) not in d
                 assert (x, "?") not in d and ("?", y) not in d
             assert x not in d and (x,) not in d
+
+    @LAWS
+    @given(dit_operands())
+    def test_unhashable_items_are_not_members(self, upq):
+        u, _, _ = upq
+        d = dit(discrete(u))
+        for x in u:
+            for item in ([x], {x}, {x: x}):
+                assert (item, x) not in d and (x, item) not in d and (item, item) not in d
 
     @LAWS
     @given(dit_operands())
@@ -1033,3 +1044,55 @@ class TestPermutationsAgainstLabels:
             (t, s) for t in by_images for s in by_images
             if t.compose(s) not in (ab, abc, abcd)
         )
+
+
+def assert_indistinguishable(built, public):
+    """A value the library built through its unchecked constructor is the
+    public one: equality, hash, repr, field order and pickled form."""
+    assert built == public and hash(built) == hash(public)
+    assert repr(built) == repr(public)
+    assert list(vars(built)) == list(vars(public)) == [f.name for f in fields(public)]
+    assert pickle.dumps(built) == pickle.dumps(public)
+    again = pickle.loads(pickle.dumps(built))
+    assert again == public and list(vars(again)) == list(vars(public))
+
+
+class TestLibraryBuiltValues:
+    """_of, _from_masks and _unchecked build what the public constructors build."""
+
+    @LAWS
+    @given(universe_and_bases(1), st.data())
+    def test_kets_outcomes_and_distributions(self, uv, data):
+        u, v = uv
+        f = data.draw(attributes(u))
+        names = data.draw(st.frozensets(st.sampled_from(v.vector_names), min_size=1))
+        s = SetKet(v, names)
+        assert_indistinguishable(SetKet._of(v, s.mask), s)
+        for d in (measure_distribution(f, s), born_distribution(standard_ket(u, expand(v, names)))):
+            public = tuple(Outcome(o.value, o.probability, o.collapsed) for o in d.outcomes)
+            for o, p in zip(d.outcomes, public):
+                assert_indistinguishable(o, p)
+                assert_indistinguishable(Outcome._of(p.value, p.probability, p.collapsed), p)
+            assert_indistinguishable(d, OutcomeDistribution(d.state, public))
+            assert_indistinguishable(OutcomeDistribution._of(d.state, public),
+                                     OutcomeDistribution(d.state, public))
+
+    @LAWS
+    @given(universe_and(1), st.randoms(use_true_random=False))
+    def test_partitions(self, up, rng):
+        u, p = up
+        masks = list(p.masks)
+        rng.shuffle(masks)
+        assert_indistinguishable(SetPartition._from_masks(u, masks),
+                                 SetPartition.from_blocks(u, p.blocks))
+        assert_indistinguishable(join(p, p), p)
+        assert_indistinguishable(meet(p, discrete(u)), p)
+
+    @LAWS
+    @given(universe_and_permutations(2, 2))
+    def test_permutations(self, ups):
+        u, (t, s) = ups
+        assert_indistinguishable(Permutation._unchecked(u, t.targets), t)
+        composed = t.compose(s)
+        assert_indistinguishable(composed, Permutation(u, composed.images))
+        assert_indistinguishable(t.inverse(), Permutation(u, t.inverse().images))

@@ -1,0 +1,96 @@
+"""The partition lattice, dit-sets, entropy, the Born rule and measurement
+against tests/reference.py, on every input over a 4-set: all 15 partitions,
+every ordered pair of them, and every nonempty state."""
+
+from itertools import product
+
+import pytest
+
+import reference as ref
+from qmsets import (
+    Attribute,
+    SetPartition,
+    Universe,
+    block_sizes,
+    born_distribution,
+    dit,
+    enumerate_partitions,
+    join,
+    logical_entropy,
+    measure_distribution,
+    meet,
+    refines,
+    standard_ket,
+)
+
+LABELS = ("y", "w", "z", "x")  # universe order is not label order
+U = Universe.of(LABELS)
+PARTITIONS = ref.set_partitions(LABELS)
+STATES = [frozenset(u for i, u in enumerate(LABELS) if m >> i & 1) for m in range(1, 16)]
+
+
+def text(p):
+    """A partition's blocks in universe order, for test ids and messages."""
+    rows = [sorted(b, key=LABELS.index) for b in p]
+    return "|".join("".join(b) for b in sorted(rows, key=lambda b: LABELS.index(b[0])))
+
+
+def ours(p):
+    return SetPartition.from_blocks(U, [sorted(b) for b in p])
+
+
+def blocks(p):
+    return frozenset(map(frozenset, p.blocks))
+
+
+def test_the_reference_has_every_partition_once():
+    assert len(PARTITIONS) == len(set(PARTITIONS)) == 15
+    assert {blocks(p) for p in enumerate_partitions(U)} == set(PARTITIONS)
+
+
+def assert_dits_agree(d, pairs):
+    assert len(d) == len(pairs) and d.pairs == pairs
+    for pair in product(LABELS, repeat=2):
+        assert (pair in d) == (pair in pairs), pair
+
+
+@pytest.mark.parametrize("p", PARTITIONS, ids=text)
+def test_lattice_against_the_reference(p):
+    P = ours(p)
+    for q in PARTITIONS:
+        Q = ours(q)
+        # Equality with the checked constructor's value also pins canonical order.
+        assert join(P, Q) == ours(ref.join(p, q)), text(q)
+        assert meet(P, Q) == ours(ref.meet(p, q)), text(q)
+        assert refines(P, Q) == ref.refines(p, q), text(q)
+        assert dit(P).union(dit(Q)).pairs == ref.dit(p, LABELS) | ref.dit(q, LABELS)
+        assert dit(P).issubset(dit(Q)) == (ref.dit(p, LABELS) <= ref.dit(q, LABELS))
+
+
+@pytest.mark.parametrize("p", PARTITIONS, ids=text)
+def test_dits_entropy_and_sizes_against_the_reference(p):
+    P = ours(p)
+    for q in PARTITIONS:
+        Q = ours(q)
+        for mine, theirs in ((P, p), (join(P, Q), ref.join(p, q)), (meet(P, Q), ref.meet(p, q))):
+            assert blocks(mine) == theirs
+            assert_dits_agree(dit(mine), ref.dit(theirs, LABELS))
+            assert logical_entropy(mine) == ref.logical_entropy(theirs, LABELS)
+            assert block_sizes(mine) == ref.block_sizes(theirs)
+
+
+def outcomes(d):
+    return [(o.value, o.probability, o.collapsed.to_subset()) for o in d.outcomes]
+
+
+@pytest.mark.parametrize("p", PARTITIONS, ids=text)
+def test_measurement_against_the_reference(p):
+    """The attribute whose level sets are p's blocks, valued 10, 9, ... in
+    universe order of the blocks, so value order is numeric, not textual."""
+    by_first = sorted(p, key=lambda b: min(map(LABELS.index, b)))
+    values = {u: str(10 - k) for k, b in enumerate(by_first) for u in b}
+    f = Attribute.from_mapping("f", U, values)
+    for state in STATES:
+        ket = standard_ket(U, state)
+        assert outcomes(measure_distribution(f, ket)) == ref.measure(values, state), state
+        assert outcomes(born_distribution(ket)) == ref.born(state, LABELS), state
