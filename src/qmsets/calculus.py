@@ -28,10 +28,10 @@ from .universe import SetPartition, join as partition_join, require_same_univers
 
 
 def _standard_bits(s: SetKet) -> int:
-    """The subset of a standard-basis ket as a bitmask (bit i = element i)."""
+    """A standard-basis ket's subset as a bitmask: its coordinates (vector i is element i)."""
     if not s.basis.is_standard:
         raise BasisError("operand must be expressed in the standard basis; convert with to_basis")
-    return s._bits()
+    return s.mask
 
 
 def _standard_basis_of(s: SetKet) -> Basis:

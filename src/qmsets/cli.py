@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -23,7 +22,7 @@ from typing import Callable
 
 from . import calculus, universe as up
 from .errors import BoundError, QmSetsError, ScenarioError
-from .gf2 import DEFAULT_KET_TABLE_BOUND, _ket_masks
+from .gf2 import _ket_masks
 from .group_action import orbit_partition
 from .scenario import Command, Scenario, parse_scenario
 from .universe import DEFAULT_ENUMERATION_BOUND, Universe, braced, enumerate_partitions
@@ -39,19 +38,16 @@ def _decimal_str(q: Fraction) -> str:
     return f"{float(q):.6f}"
 
 
-def _aligned(rows: list[list[str]]) -> str:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [cell.ljust(w) for cell, w in zip(row, widths)]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+def _aligned(columns: list[list[str]]) -> str:
+    widths = [max(map(len, col)) for col in columns]
+    padded = [[cell.ljust(w) for cell in col] for col, w in zip(columns, widths)]
+    return "\n".join("  ".join(row).rstrip() for row in zip(*padded))
 
 
-def _csv_str(rows: list[list[str]]) -> str:
+def _csv_str(columns: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerows(zip(*columns))
     return buf.getvalue().rstrip("\n")
 
 
@@ -87,11 +83,12 @@ def lattice_render(
 
 
 class _Runner:
-    def __init__(self, scenario: Scenario, fmt: str, paper_order: bool, bound: int | None):
-        self.sc = scenario
+    def __init__(self, seed: int | None, fmt: str, paper_order: bool, bound: int | None):
+        self.seed = seed
         self.fmt = fmt
         self.paper_order = paper_order
-        self.bound = bound
+        # --bound, or nothing so that each library call keeps its default
+        self.bounds = {} if bound is None else {"bound": bound}
         self.chunks: list[str] = []
         self.file_outputs: dict[str, str] = {}
 
@@ -101,14 +98,16 @@ class _Runner:
         else:
             self.chunks.append(text)
 
-    # rows, text and record are thunks: only the form the format prints is built.
-    def table(self, cmd: Command, title: str, rows: Callable, record: Callable) -> None:
+    # columns (each its header cell, then one cell per row), text and record are
+    # thunks: only the form the format prints is built.
+    def table(self, cmd: Command, title: str | None, columns: Callable, record: Callable) -> None:
         if self.fmt == "csv":
-            self.emit(cmd, _csv_str(rows()))
+            self.emit(cmd, _csv_str(columns()))
         elif self.fmt == "json":
             self.emit(cmd, json.dumps(record(), sort_keys=True))
         else:
-            self.emit(cmd, title + "\n" + _aligned(rows()))
+            text = _aligned(columns())
+            self.emit(cmd, text if title is None else title + "\n" + text)
 
     def line(self, cmd: Command, text: Callable, record: Callable) -> None:
         if self.fmt == "json":
@@ -116,44 +115,36 @@ class _Runner:
         else:
             self.emit(cmd, text())
 
-    def run_command(self, cmd: Command) -> None:
-        handler = getattr(self, "_cmd_" + cmd.kind.replace("-", "_"))
-        handler(cmd)
-
     def _cmd_ket_table(self, cmd: Command) -> None:
         bases = cmd.values
-        bound = self.bound if self.bound is not None else DEFAULT_KET_TABLE_BOUND
-        rows = _ket_masks(bases, self.paper_order, bound)
+        rows = _ket_masks(bases, self.paper_order, **self.bounds)
         # names[i][c]: the vectors of basis i set in coordinate mask c, in basis order
         names: list[list[tuple[str, ...]]] = [[()] for _ in bases]
         for b, ns in zip(bases, names):
             for name in b.vector_names:
                 ns.extend([x + (name,) for x in ns])
-        header = [f"{b.name} = {braced(b.vector_names)}" for b in bases]
-        if self.fmt != "text":
-            self.table(
-                cmd, "",
-                lambda: [header] + [[braced(ns[c]) for ns, c in zip(names, row)] for row in rows],
-                lambda: {"command": "ket-table", "bases": [b.name for b in bases],
-                         "rows": [[ns[c] for ns, c in zip(names, row)] for row in rows]},
-            )
-            return
-        # Each column padded once, to its header or its widest cell (all names).
-        widths = [max(len(h), len(braced(ns[-1]))) for h, ns in zip(header, names)]
-        cols = [[braced(x).ljust(w) for x in ns] for ns, w in zip(names, widths)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        lines += ["  ".join([col[c] for col, c in zip(cols, row)]).rstrip() for row in rows]
-        self.emit(cmd, "\n".join(lines))
+
+        def columns() -> list[list[str]]:
+            texts = [list(map(braced, ns)) for ns in names]  # each braced once, by mask
+            return [[f"{b.name} = {braced(b.vector_names)}"] + list(map(t.__getitem__, col))
+                    for b, t, col in zip(bases, texts, zip(*rows))]
+
+        self.table(
+            cmd, None, columns,
+            lambda: {"command": "ket-table", "bases": [b.name for b in bases],
+                     "rows": [[ns[c] for ns, c in zip(names, row)] for row in rows]},
+        )
 
     def _outcome_table(
         self, cmd: Command, title: str, dist: calculus.OutcomeDistribution, **names: str
     ) -> None:
         self.table(
             cmd, title,
-            lambda: [["value", "probability", "decimal", "collapsed"]] + [
-                [o.value, _fraction_str(o.probability), _decimal_str(o.probability),
-                 str(o.collapsed)]
-                for o in dist.outcomes
+            lambda: [
+                ["value"] + [o.value for o in dist.outcomes],
+                ["probability"] + [_fraction_str(o.probability) for o in dist.outcomes],
+                ["decimal"] + [_decimal_str(o.probability) for o in dist.outcomes],
+                ["collapsed"] + [str(o.collapsed) for o in dist.outcomes],
             ],
             lambda: {
                 "command": cmd.kind,
@@ -222,11 +213,11 @@ class _Runner:
     def _cmd_cascade(self, cmd: Command) -> None:
         *attr_names, state_name = cmd.args
         *attrs, state = cmd.values
-        record = calculus.csca_measure(attrs, state, self.sc.seed)
+        record = calculus.csca_measure(attrs, state, self.seed)
         self.line(
             cmd,
             lambda: "\n".join(
-                [f"cascade {' '.join(attr_names)} from {state_name} (seed {self.sc.seed})"]
+                [f"cascade {' '.join(attr_names)} from {state_name} (seed {self.seed})"]
                 + [f"step {i}: {step.attribute} -> {step.value}  "
                    f"pre={step.pre_state} post={step.post_state} "
                    f"p={_fraction_str(step.probability)}"
@@ -235,7 +226,7 @@ class _Runner:
                    f"p={_fraction_str(record.path_probability)}"]
             ),
             lambda: {"command": "cascade", "attributes": attr_names, "state": state_name,
-                     "seed": self.sc.seed,
+                     "seed": self.seed,
                      "steps": [
                          {"attribute": s.attribute, "value": s.value,
                           "pre": str(s.pre_state), "post": str(s.post_state),
@@ -247,8 +238,7 @@ class _Runner:
 
     def _cmd_lattice(self, cmd: Command) -> None:
         (universe,) = cmd.values
-        bound = self.bound if self.bound is not None else DEFAULT_ENUMERATION_BOUND
-        text = lattice_render(universe, bound=bound)
+        text = lattice_render(universe, **self.bounds)
         self.line(
             cmd,
             lambda: f"lattice {cmd.args[0]}\n{text}",
@@ -276,12 +266,11 @@ def run_scenario(
     bound: int | None = None,
 ) -> tuple[str, dict[str, str]]:
     """Execute all commands; return (stdout text, {path: file output})."""
-    if seed_override is not None:
-        scenario = dataclasses.replace(scenario, seed=seed_override)
-    runner = _Runner(scenario, fmt, paper_order, bound)
+    seed = scenario.seed if seed_override is None else seed_override
+    runner = _Runner(seed, fmt, paper_order, bound)
     for cmd in scenario.commands:
         try:
-            runner.run_command(cmd)
+            getattr(runner, "_cmd_" + cmd.kind.replace("-", "_"))(cmd)
         except QmSetsError as exc:
             hint = ""
             if isinstance(exc, BoundError) and exc.size is not None:

@@ -267,7 +267,8 @@ def _paper_masks(n: int) -> list[int]:
     return [m for k in range(n, -1, -1) for m in level(k, n, True)]
 
 
-def _ket_masks(bases: Sequence[Basis], paper_order: bool, bound: int) -> list[tuple]:
+def _ket_masks(bases: Sequence[Basis], paper_order: bool,
+               bound: int = DEFAULT_KET_TABLE_BOUND) -> list[tuple]:
     """The rows of the ket table, each the coordinate masks of one vector."""
     if not bases:
         raise BasisError("ket_table needs at least one basis")

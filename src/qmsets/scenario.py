@@ -24,8 +24,10 @@ Grammar (one statement per line, ``#`` starts a comment):
     pythagoras P S
 
 Any command may end with ``to <path>`` to write its output to a file, each
-path at most once.  Every referenced name must be declared on an earlier
-line, and names are unique per kind.  A name appears at most once in a brace
+path at most once, as ``os.path.realpath`` resolves it: ``out.txt`` and
+``./out.txt`` are one path (hard links and case-insensitive file systems are
+out of scope).  Every referenced name must be declared on an earlier line,
+and names are unique per kind.  A name appears at most once in a brace
 set, a partition block included, and a ``key:value`` entry needs both parts.
 A group's cycles name only labels of its universe, each at most once per
 generator, within a cycle or across its cycles.
@@ -38,6 +40,7 @@ its own line.  One leading UTF-8 byte-order mark is ignored.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -225,106 +228,99 @@ _DECLARATIONS = {
 }
 
 
-class _Parser:
-    def __init__(self):
-        self.scenario = Scenario()
+def _seed(sc: Scenario, text: str, line: int) -> None:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ScenarioError("seed takes exactly one integer", line)
+    if sc.seed is not None:
+        raise ScenarioError("seed given twice", line)
+    try:
+        sc.seed = int(parts[1])
+    except ValueError:
+        raise ScenarioError(f"seed must be an integer, got {parts[1]!r}", line)
+    sc.decl_lines.append(f"seed {sc.seed}")
 
-    def parse_line(self, raw: str, line: int) -> None:
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            return
-        head = text.split()[0]
-        if head == "seed":
-            self._seed(text, line)
-        elif head in _DECLARATIONS:
-            self._declaration(head, text, line)
-        elif head in COMMANDS:
-            self._command(head, text, line)
-        else:
-            raise ScenarioError(f"unknown statement {head!r}", line)
 
-    def _seed(self, text: str, line: int) -> None:
-        parts = text.split()
+def _declaration(sc: Scenario, kind: str, text: str, line: int) -> None:
+    # "<kind> <name> [on|in <home>] = <body>"
+    if "=" not in text:
+        raise ScenarioError("declaration needs '='", line)
+    head, body = text.split("=", 1)
+    parts = head.split()
+    if kind == "universe":
         if len(parts) != 2:
-            raise ScenarioError("seed takes exactly one integer", line)
-        if self.scenario.seed is not None:
-            raise ScenarioError("seed given twice", line)
-        try:
-            self.scenario.seed = int(parts[1])
-        except ValueError:
-            raise ScenarioError(f"seed must be an integer, got {parts[1]!r}", line)
-        self.scenario.decl_lines.append(f"seed {self.scenario.seed}")
+            raise ScenarioError("usage: universe NAME = e1 e2 ...", line)
+    elif len(parts) != 4 or parts[2] not in ("on", "in"):
+        raise ScenarioError(f"usage: {kind} NAME on UNIVERSE = ...", line)
+    name, pool = parts[1], getattr(sc, _POOLS[kind])
+    if name in pool:
+        raise ScenarioError(f"duplicate {kind} name {name!r}", line)
+    home = None
+    if kind != "universe":
+        link, ref = parts[2:]
+        # A state "in" a basis is written in that basis; all else is "on"
+        # a universe, which states and maps take in its standard basis.
+        if kind == "state" and link == "in":
+            home = sc.lookup(ref, "basis|universe", line)
+        else:
+            home = sc.lookup(ref, "universe", line)
+            if kind in ("state", "map"):
+                home = sc.standard_bases[ref]
+    try:
+        pool[name], canonical = _DECLARATIONS[kind](name, home, body.strip())
+    except QmSetsError as exc:
+        raise ScenarioError(str(exc), line)
+    if kind == "universe":
+        sc.standard_bases[name] = standard_basis(pool[name], name=name)
+    sc.decl_lines.append(f"{' '.join(parts)} = {canonical}")
 
-    def _declaration(self, kind: str, text: str, line: int) -> None:
-        # "<kind> <name> [on|in <home>] = <body>"
-        if "=" not in text:
-            raise ScenarioError("declaration needs '='", line)
-        head, body = text.split("=", 1)
-        parts = head.split()
-        if kind == "universe":
-            if len(parts) != 2:
-                raise ScenarioError("usage: universe NAME = e1 e2 ...", line)
-        elif len(parts) != 4 or parts[2] not in ("on", "in"):
-            raise ScenarioError(f"usage: {kind} NAME on UNIVERSE = ...", line)
-        sc = self.scenario
-        name, pool = parts[1], getattr(sc, _POOLS[kind])
-        if name in pool:
-            raise ScenarioError(f"duplicate {kind} name {name!r}", line)
-        home = None
-        if kind != "universe":
-            link, ref = parts[2:]
-            # A state "in" a basis is written in that basis; all else is "on"
-            # a universe, which states and maps take in its standard basis.
-            if kind == "state" and link == "in":
-                home = sc.lookup(ref, "basis|universe", line)
-            else:
-                home = sc.lookup(ref, "universe", line)
-                if kind in ("state", "map"):
-                    home = sc.standard_bases[ref]
-        try:
-            pool[name], canonical = _DECLARATIONS[kind](name, home, body.strip())
-        except QmSetsError as exc:
-            raise ScenarioError(str(exc), line)
-        if kind == "universe":
-            sc.standard_bases[name] = standard_basis(pool[name], name=name)
-        sc.decl_lines.append(f"{' '.join(parts)} = {canonical}")
 
-    def _command(self, kind: str, text: str, line: int) -> None:
-        sc = self.scenario
-        tokens = text.split()[1:]
-        destination = None
-        if len(tokens) >= 2 and tokens[-2] == "to":
-            destination = tokens[-1]
-            tokens = tokens[:-2]
-            if any(c.destination == destination for c in sc.commands):
-                raise ScenarioError(f"output path {destination!r} used twice", line)
-        if kind == "cascade":
-            if "from" not in tokens:
-                raise ScenarioError("usage: cascade ATTR... from STATE", line)
-            idx = tokens.index("from")
-            attrs, rest = tokens[:idx], tokens[idx + 1:]
-            if not attrs or len(rest) != 1:
-                raise ScenarioError("usage: cascade ATTR... from STATE", line)
-            tokens = attrs + rest
-        kinds = COMMANDS[kind]
-        extra = len(tokens) - len(kinds)
-        wanted = [
-            k.removesuffix("...")
-            for k in kinds
-            for _ in range(1 + extra if k.endswith("...") else 1)
-        ]
-        if extra < 0 or len(wanted) != len(tokens):
-            raise ScenarioError(f"usage: {kind} {' '.join(kinds).upper()}", line)
-        values = tuple(sc.lookup(t, k, line) for t, k in zip(tokens, wanted))
-        sc.commands.append(Command(line, kind, tuple(tokens), destination, values))
+def _command(sc: Scenario, kind: str, text: str, line: int) -> None:
+    tokens = text.split()[1:]
+    destination = None
+    if len(tokens) >= 2 and tokens[-2] == "to":
+        destination = tokens[-1]
+        tokens = tokens[:-2]
+        real = os.path.realpath
+        if any(real(c.destination) == real(destination) for c in sc.commands if c.destination):
+            raise ScenarioError(f"output path {destination!r} used twice", line)
+    if kind == "cascade":
+        if "from" not in tokens:
+            raise ScenarioError("usage: cascade ATTR... from STATE", line)
+        idx = tokens.index("from")
+        attrs, rest = tokens[:idx], tokens[idx + 1:]
+        if not attrs or len(rest) != 1:
+            raise ScenarioError("usage: cascade ATTR... from STATE", line)
+        tokens = attrs + rest
+    kinds = COMMANDS[kind]
+    extra = len(tokens) - len(kinds)
+    wanted = [
+        k.removesuffix("...")
+        for k in kinds
+        for _ in range(1 + extra if k.endswith("...") else 1)
+    ]
+    if extra < 0 or len(wanted) != len(tokens):
+        raise ScenarioError(f"usage: {kind} {' '.join(kinds).upper()}", line)
+    values = tuple(sc.lookup(t, k, line) for t, k in zip(tokens, wanted))
+    sc.commands.append(Command(line, kind, tuple(tokens), destination, values))
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario; errors carry the offending line number."""
-    parser = _Parser()
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        parser.parse_line(raw, lineno)
-    scenario = parser.scenario
+    scenario = Scenario()
+    for line, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        statement = raw.split("#", 1)[0].strip()
+        if not statement:
+            continue
+        head = statement.split()[0]
+        if head == "seed":
+            _seed(scenario, statement, line)
+        elif head in _DECLARATIONS:
+            _declaration(scenario, head, statement, line)
+        elif head in COMMANDS:
+            _command(scenario, head, statement, line)
+        else:
+            raise ScenarioError(f"unknown statement {head!r}", line)
     first = next((c for c in scenario.commands if c.kind in SAMPLING_COMMANDS), None)
     if scenario.seed is None and first is not None:
         raise ScenarioError("a seed is required when sampling commands appear", first.line)

@@ -2,12 +2,14 @@
 
 A partition is a frozenset of nonempty, disjoint blocks (frozensets of
 labels) that cover the universe.  A state is a nonempty subset S of the
-universe, an attribute a dict from labels to values.  Nothing here is
+universe, an attribute a dict from labels to values, and a basis a list of
+subsets (its vectors, in order).  Nothing here is
 shared with qmsets: each definition is the textbook one, written for
 clarity, not speed, and meant for universes of a few elements.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def set_partitions(labels):
@@ -83,3 +85,33 @@ def measure(f, state):
         if collapse:
             out.append((r, Fraction(len(collapse), len(state)), collapse))
     return out
+
+
+def symmetric_difference(sets):
+    """The labels in an odd number of the sets: their sum over GF(2)."""
+    out = frozenset()
+    for s in sets:
+        out ^= s
+    return out
+
+
+def coordinates(vectors, subset):
+    """The positions j of the one combination of vectors, found by trying all
+    2^n, whose symmetric difference is the subset; None unless exactly one
+    combination gives it."""
+    found = [
+        frozenset(js)
+        for k in range(len(vectors) + 1)
+        for js in combinations(range(len(vectors)), k)
+        if symmetric_difference(vectors[j] for j in js) == subset
+    ]
+    return found[0] if len(found) == 1 else None
+
+
+def subsets(labels):
+    return [frozenset(c) for k in range(len(labels) + 1) for c in combinations(labels, k)]
+
+
+def is_basis(vectors, labels):
+    """Every subset of the labels has coordinates in the vectors."""
+    return all(coordinates(vectors, s) is not None for s in subsets(labels))

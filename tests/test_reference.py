@@ -1,26 +1,34 @@
 """The partition lattice, dit-sets, entropy, the Born rule and measurement
 against tests/reference.py, on every input over a 4-set: all 15 partitions,
-every ordered pair of them, and every nonempty state."""
+every ordered pair of them, and every nonempty state.  GF(2) coordinates and
+basis checks against it on every ordered triple of distinct nonempty subsets
+of a 3-set and on a seeded sample of ordered bases of the 4-set."""
 
-from itertools import product
+import random
+from itertools import permutations, product
 
 import pytest
 
 import reference as ref
 from qmsets import (
     Attribute,
+    BasisError,
     SetPartition,
     Universe,
     block_sizes,
     born_distribution,
+    check_basis,
     dit,
     enumerate_partitions,
     join,
+    ket_table,
     logical_entropy,
     measure_distribution,
     meet,
     refines,
+    standard_basis,
     standard_ket,
+    to_basis,
 )
 
 LABELS = ("y", "w", "z", "x")  # universe order is not label order
@@ -94,3 +102,53 @@ def test_measurement_against_the_reference(p):
         ket = standard_ket(U, state)
         assert outcomes(measure_distribution(f, ket)) == ref.measure(values, state), state
         assert outcomes(born_distribution(ket)) == ref.born(state, LABELS), state
+
+
+U3 = Universe.of(("c", "a", "b"))
+TRIPLES = list(permutations([s for s in ref.subsets(U3.elements) if s], 3))
+
+
+def sample_bases(count, seed=0):
+    """Ordered bases of the 4-set, drawn at random and kept when the reference
+    calls them bases."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        vectors = rng.sample(STATES, len(LABELS))
+        if ref.is_basis(vectors, LABELS):
+            out.append(vectors)
+    return out
+
+
+def test_check_basis_against_the_reference():
+    accepted = 0
+    for vectors in TRIPLES:
+        try:
+            check_basis(U3, vectors, "B")
+            ours = True
+        except BasisError:
+            ours = False
+        assert ours == ref.is_basis(vectors, U3.elements), vectors
+        accepted += ours
+    assert (len(TRIPLES), accepted) == (210, 168)
+
+
+@pytest.mark.parametrize("universe, bases", [
+    (U3, [v for v in TRIPLES if ref.is_basis(v, U3.elements)]),
+    (U, sample_bases(200)),
+], ids=["n3-all", "n4-sample"])
+def test_coordinates_against_the_reference(universe, bases):
+    standard = standard_basis(universe)
+    for vectors in bases:
+        basis = check_basis(universe, vectors, "B")
+
+        def theirs(subset):
+            return {f"B{j}" for j in ref.coordinates(vectors, subset)}
+
+        for subset in ref.subsets(universe.elements):
+            assert to_basis(standard_ket(universe, subset), basis).coords == theirs(subset)
+        for paper_order in (False, True):
+            rows = ket_table([standard, basis], paper_order=paper_order)
+            assert sorted(map(len, rows)) == [2] * 2 ** len(universe)
+            assert {r[0].coords for r in rows} == set(ref.subsets(universe.elements))
+            for s, ket in rows:
+                assert ket.coords == theirs(s.coords), (vectors, s)

@@ -381,6 +381,21 @@ class TestMainExitCodes:
         assert "line 4" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alias", ["./out.txt", "d/../out.txt"])
+    def test_one_destination_spelled_two_ways_rejected(
+        self, tmp_path, monkeypatch, capsys, alias
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        bad = tmp_path / "alias.qms"
+        bad.write_text(
+            "universe U = a b\npartition P on U = {a}|{b}\npartition Q on U = {a,b}\n"
+            f"entropy P to out.txt\nentropy Q to {alias}\n"
+        )
+        assert main([str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"qmsets: line 5: output path {alias!r} used twice\n")
+        assert not (tmp_path / "out.txt").exists()
+
     @pytest.mark.parametrize("declaration", [
         "attribute f on U = a: b:2 c:2",
         "attribute f on U = :1 b:2 c:2",
