@@ -3,9 +3,9 @@
 A partition is a frozenset of nonempty, disjoint blocks (frozensets of
 labels) that cover the universe.  A state is a nonempty subset S of the
 universe, an attribute a dict from labels to values, and a basis a list of
-subsets (its vectors, in order).  Nothing here is
-shared with qmsets: each definition is the textbook one, written for
-clarity, not speed, and meant for universes of a few elements.
+subsets (its vectors, in order).  Nothing here is shared with qmsets: each
+definition is the textbook one, written for clarity, not speed, and meant
+for universes of a few elements.
 """
 
 from fractions import Fraction
@@ -109,6 +109,7 @@ def coordinates(vectors, subset):
 
 
 def subsets(labels):
+    """Every subset of the labels, smallest first."""
     return [frozenset(c) for k in range(len(labels) + 1) for c in combinations(labels, k)]
 
 

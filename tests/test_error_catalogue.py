@@ -49,7 +49,8 @@ def source_templates() -> Counter:
 
 
 @pytest.mark.parametrize("path", CASES, ids=lambda p: p.stem)
-def test_error_case(path, capsys):
+def test_error_case(path, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # where a case's `to` files would go if it parsed
     raised, code, stderr = header(path)
     message = ".+".join(map(re.escape, raised.split("{}")))
     assert re.fullmatch(r"qmsets: line \d+: " + message, stderr), (raised, stderr)
