@@ -106,7 +106,7 @@ def join_attributes(fs: Sequence[Attribute]) -> AnnotatedJoin:
     blocks: dict[tuple[str, ...], int] = {}
     for i, key in enumerate(zip(*(f.values for f in fs))):
         blocks[key] = blocks.get(key, 0) | 1 << i
-    return AnnotatedJoin(SetPartition(fs[0].universe, tuple(blocks.values())), tuple(blocks))
+    return AnnotatedJoin(SetPartition._of(fs[0].universe, tuple(blocks.values())), tuple(blocks))
 
 
 def is_csca(fs: Sequence[Attribute]) -> bool:

@@ -169,7 +169,9 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
     """Pr(r|S) = |f^-1(r) & S| / |S| with collapsed states f^-1(r) & S.
 
     A state expressed in a non-standard basis is first re-expressed in the
-    attribute's home basis (the standard basis of its universe).
+    attribute's home basis (the standard basis of its universe).  A state
+    inside one preimage f^-1(r) is an eigenstate: r is certain and the
+    collapse is the state, on _standard_basis_of(s).
     """
     require_same_universe(f, s)
     bits = s._bits()
@@ -177,6 +179,10 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
         raise EmptyStateError("cannot measure the empty state")
     if not s.basis.is_standard:
         s = SetKet._of(standard_basis(f.universe), bits)
+    certain = next((r for r, m in f._spectrum.items() if not bits & ~m), None)
+    if certain is not None:
+        collapsed = SetKet._of(_standard_basis_of(s), bits)
+        return OutcomeDistribution._of(s, (Outcome._of(certain, Fraction(1), collapsed),))
     size = bits.bit_count()
     return OutcomeDistribution._of(s, tuple(
         Outcome._of(r, Fraction(inter.bit_count(), size),

@@ -29,6 +29,7 @@ path at most once, as ``os.path.realpath`` resolves it: ``out.txt`` and
 out of scope).  Every referenced name must be declared on an earlier line,
 and names are unique per kind.  A name appears at most once in a brace
 set, a partition block included, and a ``key:value`` entry needs both parts.
+A universe label or basis vector name holds none of ``{ } , | ( ) :``.
 A group's cycles name only labels of its universe, each at most once per
 generator, within a cycle or across its cycles.
 An argument that names two of the kinds it may take is a parse error (exit
@@ -163,15 +164,23 @@ def _entries(body: str, usage: str):
         yield key, value
 
 
+def _plain(name: str, what: str) -> str:
+    """The name, unless it holds a character the set and partition texts reserve."""
+    reserved = next((c for c in name if c in "{},|():"), None)
+    if reserved is not None:
+        raise ScenarioError(f"{what} {name!r} contains reserved character {reserved!r}")
+    return name
+
+
 def _universe(name: str, home: None, body: str):
-    labels = body.split()
+    labels = [_plain(label, "universe label") for label in body.split()]
     return Universe.of(labels), " ".join(labels)
 
 
 def _basis(name: str, home: Universe, body: str):
     vec_names, vectors = [], []
     for vname, subset in _entries(body, "basis vector needs name:{...}"):
-        vec_names.append(vname)
+        vec_names.append(_plain(vname, "basis vector name"))
         vectors.append(_parse_subset(subset))
     basis = check_basis(home, vectors, name, vec_names)
     return basis, " ".join(

@@ -7,7 +7,8 @@ structurally equal, and every partition is hashable.  A dit-set is held as
 the partition it determines.  The invariants (nonempty, disjoint, covering)
 are checked once, in from_blocks; the library's own constructions build
 valid masks and skip the check.  Each type the library builds has such a
-constructor (_from_masks, _of, ...): it writes the fields into the instance dict.
+constructor (_of, ...): it writes the fields into the instance dict;
+SetPartition._from_masks sorts masks into canonical order first.
 """
 
 from __future__ import annotations
@@ -136,12 +137,17 @@ class SetPartition:
         return cls(universe, tuple(masks))
 
     @classmethod
-    def _from_masks(cls, universe: Universe, masks: Iterable[int]) -> "SetPartition":
-        """Masks that already form a partition, in any order."""
+    def _of(cls, universe: Universe, masks: tuple[int, ...]) -> "SetPartition":
+        """Masks that already form a partition, already ordered by least bit."""
         obj = object.__new__(cls)
         d = obj.__dict__
-        d["universe"], d["masks"] = universe, tuple(sorted(masks, key=_least_bit))
+        d["universe"], d["masks"] = universe, masks
         return obj
+
+    @classmethod
+    def _from_masks(cls, universe: Universe, masks: Iterable[int]) -> "SetPartition":
+        """Masks that already form a partition, in any order."""
+        return cls._of(universe, tuple(sorted(masks, key=_least_bit)))
 
     @property
     def blocks(self) -> tuple[tuple[str, ...], ...]:
@@ -213,27 +219,35 @@ class DitSet:
 
 def indiscrete(universe: Universe) -> SetPartition:
     """The one-block partition {U} (the 'blob', bottom of the lattice)."""
-    return SetPartition(universe, ((1 << len(universe)) - 1,))
+    return SetPartition._of(universe, ((1 << len(universe)) - 1,))
 
 
 def discrete(universe: Universe) -> SetPartition:
     """The all-singletons partition (top of the lattice)."""
-    return SetPartition(universe, tuple(1 << i for i in range(len(universe))))
+    return SetPartition._of(universe, tuple(1 << i for i in range(len(universe))))
 
 
 def join(p: SetPartition, q: SetPartition) -> SetPartition:
-    """Partition whose blocks are the nonempty pairwise block intersections."""
+    """Partition whose blocks are the nonempty pairwise block intersections.
+
+    The join refines both operands, so when it has as many blocks as one of
+    them it is that operand, returned as it is.
+    """
     require_same_universe(p, q)
-    return SetPartition._from_masks(
-        p.universe, [m for b in p.masks for c in q.masks if (m := b & c)]
-    )
+    masks = [m for b in p.masks for c in q.masks if (m := b & c)]
+    if len(masks) == len(p.masks):
+        return p
+    if len(masks) == len(q.masks):
+        return q
+    return SetPartition._from_masks(p.universe, masks)
 
 
 def meet(p: SetPartition, q: SetPartition) -> SetPartition:
     """Finest common coarsening: each block of q merges the blocks it meets.
 
     Extra lattice operation used for lattice rendering; join is the operation
-    with measurement semantics.
+    with measurement semantics.  The meet coarsens both operands, so when it
+    has as many blocks as one of them it is that operand, returned as it is.
     """
     require_same_universe(p, q)
     blocks = p.masks
@@ -242,6 +256,10 @@ def meet(p: SetPartition, q: SetPartition) -> SetPartition:
         if len(hit) > 1:  # disjoint masks: their sum is their union
             blocks = [b for b in blocks if not b & c]
             blocks.append(sum(hit))
+    if len(blocks) == len(p.masks):  # nothing merged
+        return p
+    if len(blocks) == len(q.masks):
+        return q
     return SetPartition._from_masks(p.universe, blocks)
 
 
@@ -251,8 +269,11 @@ def dit(p: SetPartition) -> DitSet:
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:
-    """True iff every block of p lies in a block of q: meets exactly one of them."""
+    """True iff every block of p lies in a block of q: meets exactly one of them.
+    A partition with fewer blocks than q cannot refine it."""
     require_same_universe(p, q)
+    if len(p.masks) < len(q.masks):
+        return False
     return sum(1 for b in p.masks for c in q.masks if b & c) == len(p.masks)
 
 
@@ -282,7 +303,7 @@ def enumerate_partitions(
             for ms in rows
             for k in range(len(ms) + 1)
         ]
-    return [SetPartition(universe, ms) for ms in rows]
+    return [SetPartition._of(universe, ms) for ms in rows]
 
 
 def block_sizes(p: SetPartition) -> list[int]:

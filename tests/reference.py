@@ -8,6 +8,7 @@ definition is the textbook one, written for clarity, not speed, and meant
 for universes of a few elements.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -85,6 +86,35 @@ def measure(f, state):
         if collapse:
             out.append((r, Fraction(len(collapse), len(state)), collapse))
     return out
+
+
+def draw(seed, step):
+    """The library's uniform draw for (seed, step): the first 8 bytes of the
+    blake2b hash of the text "seed:step", read big-endian, as a number d in
+    [0, 2^64)."""
+    digest = hashlib.blake2b(f"{seed}:{step}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def sample(f, state, seed, step):
+    """The outcome of measure(f, state) drawn at (seed, step): the first, in
+    value order, whose running count cum of collapsed elements has
+    d * |S| < cum * 2^64, that is d / 2^64 below its cumulative probability."""
+    d, cum = draw(seed, step), 0
+    for r, p, collapse in measure(f, state):
+        cum += len(collapse)
+        if d * len(state) < cum * 2**64:
+            return r, p, collapse
+
+
+def cascade(fs, state, seed):
+    """Measure each attribute in turn on the last collapse, step i for the
+    i-th; the list of (value, probability, collapse)."""
+    steps = []
+    for i, f in enumerate(fs):
+        steps.append(sample(f, state, seed, i))
+        state = steps[-1][2]
+    return steps
 
 
 def symmetric_difference(sets):

@@ -73,6 +73,7 @@ from qmsets import (
     to_basis,
     verify_group_axioms,
 )
+from qmsets import calculus
 from qmsets.attributes import value_sort_key
 from qmsets.calculus import Projection
 from qmsets.cli import main
@@ -1096,3 +1097,90 @@ class TestLibraryBuiltValues:
         composed = t.compose(s)
         assert_indistinguishable(composed, Permutation(u, composed.images))
         assert_indistinguishable(t.inverse(), Permutation(u, t.inverse().images))
+
+
+def coarsening(p, q):
+    """The finest partition both p and q refine, from the labels: union-find
+    over the blocks of both."""
+    uf = UnionFind(p.universe)
+    for block in p.blocks + q.blocks:
+        for x in block[1:]:
+            uf.union(block[0], x)
+    return SetPartition.from_blocks(p.universe, uf.groups())
+
+
+def refinement(p, q):
+    """The coarsest partition refining both p and q, from the labels."""
+    return SetPartition.from_blocks(
+        p.universe, [x for b in p.block_sets() for c in q.block_sets() if (x := b & c)]
+    )
+
+
+class TestAnswersThatAreOperands:
+    """A measurement that splits nothing, and a join or meet of comparable
+    partitions, answer with what they were given."""
+
+    @LAWS
+    @given(universe_attribute_state())
+    def test_measuring_a_collapse_again_is_certain(self, ufs):
+        u, f, subset = ufs
+        for o in measure_distribution(f, standard_ket(u, subset)).outcomes:
+            again = measure_distribution(f, o.collapsed)
+            assert again.state == o.collapsed
+            assert [(a.value, a.probability, a.collapsed) for a in again.outcomes] == [
+                (o.value, 1, o.collapsed)
+            ]
+
+    @LAWS
+    @given(st.data())
+    def test_a_certain_measurement_builds_no_standard_basis(self, data):
+        """An eigenstate on standard_basis(U) is its own collapse; the same
+        subset in a renamed or non-standard basis collapses on "U"."""
+        u = data.draw(universes)
+        f = data.draw(attributes(u))
+        r = data.draw(st.sampled_from(f.attained_values()))
+        subset = data.draw(st.frozensets(st.sampled_from(sorted(f.preimage(r))), min_size=1))
+        eigenstate = standard_ket(u, subset)
+        singletons = [frozenset((x,)) for x in u]
+        renamed = st.builds(
+            lambda name, names: check_basis(u, singletons, name, names),
+            st.sampled_from(["U", "B"]),
+            st.permutations(u.elements),
+        )
+        other = to_basis(eigenstate, data.draw(st.one_of(renamed, bases(u, "V"))))
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return standard_basis(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calculus, "standard_basis", counted)
+            (o,) = measure_distribution(f, eigenstate).outcomes
+            assert built == []
+            assert (o.value, o.probability, o.collapsed) == (r, 1, eigenstate)
+            (o,) = measure_distribution(f, other).outcomes
+        assert (o.value, o.probability, o.collapsed) == (r, 1, eigenstate)
+        assert o.collapsed.basis.name == "U"
+
+    @LAWS
+    @given(universe_and(2))
+    def test_join_and_meet_of_comparable_partitions_are_operands(self, upq):
+        _, p, q = upq
+        for fine, coarse in ((refinement(p, q), p), (p, coarsening(p, q))):
+            for a, b in ((fine, coarse), (coarse, fine)):
+                joined, met = join(a, b), meet(a, b)
+                assert joined == fine and met == coarse
+                assert any(joined is x for x in (a, b)) and any(met is x for x in (a, b))
+
+    @LAWS
+    @given(universe_and(2))
+    def test_fewer_blocks_never_refine(self, upq):
+        _, p, q = upq
+        candidates = (p, q, refinement(p, q), coarsening(p, q))
+        for a in candidates:
+            for b in candidates:
+                by_labels = all(any(x <= y for y in b.block_sets()) for x in a.block_sets())
+                assert refines(a, b) == by_labels
+                if len(a.blocks) < len(b.blocks):
+                    assert not refines(a, b)

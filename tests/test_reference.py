@@ -1,6 +1,6 @@
-"""The partition lattice, dit-sets, entropy, the Born rule and measurement
-against tests/reference.py, on every input over a 4-set: all 15 partitions,
-every ordered pair of them, and every nonempty state.  GF(2) coordinates and
+"""The partition lattice, dit-sets, entropy, the Born rule, measurement and
+its seeded draws against tests/reference.py, on every input over a 4-set: all
+15 partitions, every ordered pair of them, and every nonempty state.  GF(2) coordinates and
 basis checks against it on every ordered triple of distinct nonempty subsets
 of a 3-set and on a seeded sample of ordered bases of the 4-set."""
 
@@ -18,12 +18,14 @@ from qmsets import (
     block_sizes,
     born_distribution,
     check_basis,
+    csca_measure,
     dit,
     enumerate_partitions,
     join,
     ket_table,
     logical_entropy,
     measure_distribution,
+    measure_sample,
     meet,
     refines,
     standard_basis,
@@ -102,6 +104,43 @@ def test_measurement_against_the_reference(p):
         ket = standard_ket(U, state)
         assert outcomes(measure_distribution(f, ket)) == ref.measure(values, state), state
         assert outcomes(born_distribution(ket)) == ref.born(state, LABELS), state
+
+
+def level_values(p):
+    """The values of the attribute whose level sets are p's blocks: 10, 9, ...
+    in universe order of the blocks."""
+    by_first = sorted(p, key=lambda b: min(map(LABELS.index, b)))
+    return {u: str(10 - k) for k, b in enumerate(by_first) for u in b}
+
+
+def steps(record):
+    return [(s.value, s.probability, s.post_state.to_subset()) for s in record]
+
+
+@pytest.mark.parametrize("p", PARTITIONS, ids=text)
+def test_draws_against_the_reference(p):
+    """Seed 1, steps 0-9, every state: certain measurements included."""
+    values = level_values(p)
+    f = Attribute.from_mapping("f", U, values)
+    for state in STATES:
+        ket = standard_ket(U, state)
+        drawn = [measure_sample(f, ket, 1, step) for step in range(10)]
+        assert all(d.pre_state.to_subset() == state for d in drawn)
+        assert steps(drawn) == [ref.sample(values, state, 1, step) for step in range(10)]
+
+
+def test_cascades_against_the_reference():
+    """Every ordered pair of partition-shaped attributes whose join is
+    discrete, from the full state, seeds 0-9; the second step is certain
+    whenever the first partition is discrete."""
+    pairs = [(p, q) for p in PARTITIONS for q in PARTITIONS if len(ref.join(p, q)) == 4]
+    assert len(pairs) == 113
+    for p, q in pairs:
+        values = [level_values(p), level_values(q)]
+        fs = [Attribute.from_mapping(name, U, v) for name, v in zip("fg", values)]
+        for seed in range(10):
+            record = csca_measure(fs, standard_ket(U, LABELS), seed)
+            assert steps(record.steps) == ref.cascade(values, frozenset(LABELS), seed)
 
 
 U3 = Universe.of(("c", "a", "b"))

@@ -410,6 +410,26 @@ class TestMainExitCodes:
         assert captured.err.startswith("qmsets: line 2: ")
         assert "needs" in captured.err
 
+    @pytest.mark.parametrize("char", list("{},|():"))
+    def test_label_or_vector_name_with_a_reserved_character_is_a_parse_error(
+        self, tmp_path, capsys, char
+    ):
+        """`a,b` as a label would print as the set {a,b}; each reserved
+        character is refused where it is declared, with the token named."""
+        label, vector = f"a{char}b", f"x{char}y"
+        for text, line, message in [
+            (f"universe U = {label} c\nket-table U\n", 1,
+             f"universe label {label!r} contains reserved character {char!r}"),
+            (f"universe U = a b\nbasis B on U = {vector}:{{a}} z:{{b}}\nket-table B\n", 2,
+             f"basis vector name {vector!r} contains reserved character {char!r}"),
+        ]:
+            bad = tmp_path / "reserved.qms"
+            bad.write_text(text)
+            if (char, line) == (":", 2):  # the entry splits at its first ':'
+                message = "expected a brace-delimited set, got 'y:{a}'"
+            assert main([str(bad)]) == 2
+            assert capsys.readouterr() == ("", f"qmsets: line {line}: {message}\n")
+
     @pytest.mark.parametrize("declaration, name", [
         ("basis B on U = x:{a,a} y:{b} z:{c}", "a"),
         ("basis B on U = x:{a} y:{b} z:{c}\nstate S in B = {x, x}", "x"),
