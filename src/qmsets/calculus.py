@@ -179,15 +179,15 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
         raise EmptyStateError("cannot measure the empty state")
     if not s.basis.is_standard:
         s = SetKet._of(standard_basis(f.universe), bits)
-    certain = next((r for r, m in f._spectrum.items() if not bits & ~m), None)
-    if certain is not None:
+    hits = [(r, inter) for r, m in f._spectrum.items() if (inter := m & bits)]
+    if len(hits) == 1:  # the preimages cover U, so S lies inside this one
         collapsed = SetKet._of(_standard_basis_of(s), bits)
-        return OutcomeDistribution._of(s, (Outcome._of(certain, Fraction(1), collapsed),))
+        return OutcomeDistribution._of(s, (Outcome._of(hits[0][0], Fraction(1), collapsed),))
     size = bits.bit_count()
     return OutcomeDistribution._of(s, tuple(
         Outcome._of(r, Fraction(inter.bit_count(), size),
                     SetKet._of(standard_basis(f.universe), inter))
-        for r, m in f._spectrum.items() if (inter := m & bits)
+        for r, inter in hits
     ))
 
 

@@ -164,11 +164,13 @@ def _entries(body: str, usage: str):
         yield key, value
 
 
+_RESERVED = re.compile(r"[{},|():]")  # the punctuation of set, partition and cycle texts
+
+
 def _plain(name: str, what: str) -> str:
-    """The name, unless it holds a character the set and partition texts reserve."""
-    reserved = next((c for c in name if c in "{},|():"), None)
-    if reserved is not None:
-        raise ScenarioError(f"{what} {name!r} contains reserved character {reserved!r}")
+    """The name, unless it holds a reserved character."""
+    if reserved := _RESERVED.search(name):
+        raise ScenarioError(f"{what} {name!r} contains reserved character {reserved[0]!r}")
     return name
 
 

@@ -1090,6 +1090,20 @@ class TestLibraryBuiltValues:
         assert_indistinguishable(meet(p, discrete(u)), p)
 
     @LAWS
+    @given(universe_and(1), st.data())
+    def test_partitions_built_from_canonical_masks(self, up, data):
+        """enumerate_partitions, discrete, indiscrete and join_attributes
+        write their masks through SetPartition._of, unsorted."""
+        u, p = up
+        (listed,) = [e for e in enumerate_partitions(u) if e == p]
+        assert_indistinguishable(listed, p)
+        assert_indistinguishable(discrete(u), SetPartition.from_blocks(u, [[x] for x in u]))
+        assert_indistinguishable(indiscrete(u), SetPartition.from_blocks(u, [list(u)]))
+        fs = [data.draw(attributes(u, f"f{i}")) for i in range(data.draw(st.integers(1, 3)))]
+        joined = join_attributes(fs).partition
+        assert_indistinguishable(joined, SetPartition.from_blocks(u, joined.blocks))
+
+    @LAWS
     @given(universe_and_permutations(2, 2))
     def test_permutations(self, ups):
         u, (t, s) = ups
