@@ -164,7 +164,7 @@ def _entries(body: str, usage: str):
         yield key, value
 
 
-_RESERVED = re.compile(r"[{},|():]")  # the punctuation of set, partition and cycle texts
+_RESERVED = re.compile(r"[{},|():]")  # the punctuation of set, partition, cycle and entry texts
 
 
 def _plain(name: str, what: str) -> str:

@@ -1,8 +1,9 @@
 """The partition lattice, dit-sets, entropy, the Born rule, measurement and
-its seeded draws against tests/reference.py, on every input over a 4-set: all
-15 partitions, every ordered pair of them, and every nonempty state.  GF(2) coordinates and
-basis checks against it on every ordered triple of distinct nonempty subsets
-of a 3-set and on a seeded sample of ordered bases of the 4-set."""
+its seeded draws against tests/reference.py, on every input over a 4-set:
+all 15 partitions, every ordered pair of them, and every nonempty state.
+GF(2) coordinates and basis checks against it on every ordered triple of
+distinct nonempty subsets of a 3-set and on a seeded sample of ordered bases
+of the 4-set."""
 
 import random
 from itertools import permutations, product
@@ -113,8 +114,8 @@ def level_values(p):
     return {u: str(10 - k) for k, b in enumerate(by_first) for u in b}
 
 
-def steps(record):
-    return [(s.value, s.probability, s.post_state.to_subset()) for s in record]
+def steps(drawn):
+    return [(s.value, s.probability, s.post_state.to_subset()) for s in drawn]
 
 
 @pytest.mark.parametrize("p", PARTITIONS, ids=text)
