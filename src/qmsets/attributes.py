@@ -8,7 +8,9 @@ numeric tokens.  Numerically equal tokens, such as ``1``, ``1.0`` and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -18,13 +20,24 @@ from .gf2 import SetKet, standard_basis
 from .universe import SetPartition, Universe
 
 
+# A mantissa and a decimal exponent, such as "-2.5" and "7" in "-2.5e7".
+_EXPONENT = re.compile(r"(.*)[eE]([-+]?\d[\d_]*\s*)")
+
+
 def value_sort_key(token: str):
     """Numeric tokens first, compared numerically, then by text; then the
     rest, lexicographic."""
     try:
-        # int() gives a plain decimal token the value Fraction() would, faster.
-        return (0, int(token) if token.isdecimal() else Fraction(token), token)
-    except (ValueError, ZeroDivisionError):
+        if token.isdecimal():  # int() gives the value Fraction() would, faster
+            return (0, int(token), token)
+        if parts := _EXPONENT.fullmatch(token):
+            # Fraction(token) would build 10**exponent.  Fraction() reads each
+            # part as it would in the token, or raises ValueError; a Decimal
+            # keeps the exponent and compares exactly with ints and Fractions.
+            Fraction(parts[1] + "e0"), Fraction(parts[2])
+            return (0, Decimal(token), token)
+        return (0, Fraction(token), token)
+    except (ValueError, ArithmeticError):  # ZeroDivisionError; an exponent past Decimal's ±10**18
         return (1, Fraction(0), token)
 
 

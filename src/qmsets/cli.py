@@ -117,7 +117,7 @@ class _Runner:
 
     def _cmd_ket_table(self, cmd: Command) -> None:
         bases = cmd.values
-        rows = _ket_masks(bases, self.paper_order, **self.bounds)
+        cols = _ket_masks(bases, self.paper_order, **self.bounds)
         # names[i][c]: the vectors of basis i set in coordinate mask c, in basis order
         names: list[list[tuple[str, ...]]] = [[()] for _ in bases]
         for b, ns in zip(bases, names):
@@ -127,12 +127,12 @@ class _Runner:
         def columns() -> list[list[str]]:
             texts = [list(map(braced, ns)) for ns in names]  # each braced once, by mask
             return [[f"{b.name} = {braced(b.vector_names)}"] + list(map(t.__getitem__, col))
-                    for b, t, col in zip(bases, texts, zip(*rows))]
+                    for b, t, col in zip(bases, texts, cols)]
 
         self.table(
             cmd, None, columns,
             lambda: {"command": "ket-table", "bases": [b.name for b in bases],
-                     "rows": [[ns[c] for ns, c in zip(names, row)] for row in rows]},
+                     "rows": [[ns[c] for ns, c in zip(names, row)] for row in zip(*cols)]},
         )
 
     def _outcome_table(

@@ -268,8 +268,8 @@ def _paper_masks(n: int) -> list[int]:
 
 
 def _ket_masks(bases: Sequence[Basis], paper_order: bool,
-               bound: int = DEFAULT_KET_TABLE_BOUND) -> list[tuple]:
-    """The rows of the ket table, each the coordinate masks of one vector."""
+               bound: int = DEFAULT_KET_TABLE_BOUND) -> list[list[int]]:
+    """The columns of the ket table: each basis's coordinate masks, in row order."""
     if not bases:
         raise BasisError("ket_table needs at least one basis")
     universe = bases[0].universe
@@ -279,9 +279,8 @@ def _ket_masks(bases: Sequence[Basis], paper_order: bool,
     n = len(universe)
     if n > bound:
         raise BoundError(f"universe size {n} exceeds ket-table bound {bound}", size=n)
-    tables = [_coordinate_table(b) for b in bases]
     masks = _paper_masks(n) if paper_order else range(1 << n)
-    return list(zip(*([table[m] for m in masks] for table in tables)))
+    return [list(map(table.__getitem__, masks)) for table in map(_coordinate_table, bases)]
 
 
 def ket_table(
@@ -297,7 +296,7 @@ def ket_table(
     """
     return [
         [SetKet._of(b, c) for b, c in zip(bases, row)]
-        for row in _ket_masks(bases, paper_order, bound)
+        for row in zip(*_ket_masks(bases, paper_order, bound))
     ]
 
 

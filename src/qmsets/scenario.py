@@ -26,9 +26,11 @@ Grammar (one statement per line, ``#`` starts a comment):
 Any command may end with ``to <path>`` to write its output to a file, each
 path at most once, as ``os.path.realpath`` resolves it: ``out.txt`` and
 ``./out.txt`` are one path (hard links and case-insensitive file systems are
-out of scope).  Every referenced name must be declared on an earlier line,
-and names are unique per kind.  A name appears at most once in a brace
-set, a partition block included, and a ``key:value`` entry needs both parts.
+out of scope); a path holds no NUL.  Every referenced name must be declared
+on an earlier line, and names are unique per kind.  A name appears at most
+once in a brace set, a partition block included, and a ``key:value`` entry
+needs both parts.  Attribute values sort numbers first, by value (an exponent
+such as ``1e100000000`` is compared without building its power), then text.
 A universe label or basis vector name holds none of ``{ } , | ( ) :``.
 A group's cycles name only labels of its universe, each at most once per
 generator, within a cycle or across its cycles.
@@ -104,7 +106,7 @@ class Scenario:
     # The standard basis of each universe, built once where it is declared.
     standard_bases: dict[str, Basis] = field(default_factory=dict, compare=False)
 
-    def lookup(self, name: str, kinds: str, line: int):
+    def lookup(self, name: str, kinds: str):
         """The value of `name`, declared as exactly one of `kinds` ("a|b").
 
         A universe stands for its standard basis where a basis is wanted, and
@@ -113,11 +115,9 @@ class Scenario:
         allowed = kinds.split("|")
         found = [k for k in allowed if name in getattr(self, _POOLS[k])]
         if not found:
-            raise ScenarioError(f"undeclared {' or '.join(allowed)} {name!r}", line)
+            raise ScenarioError(f"undeclared {' or '.join(allowed)} {name!r}")
         if len(found) > 1:
-            raise ScenarioError(
-                f"ambiguous name {name!r}: declared as {' and '.join(found)}", line
-            )
+            raise ScenarioError(f"ambiguous name {name!r}: declared as {' and '.join(found)}")
         value = getattr(self, _POOLS[found[0]])[name]
         if found[0] == "universe" and allowed[0] == "basis":
             return self.standard_bases[name]
@@ -239,69 +239,69 @@ _DECLARATIONS = {
 }
 
 
-def _seed(sc: Scenario, text: str, line: int) -> None:
+def _seed(sc: Scenario, text: str) -> None:
     parts = text.split()
     if len(parts) != 2:
-        raise ScenarioError("seed takes exactly one integer", line)
+        raise ScenarioError("seed takes exactly one integer")
     if sc.seed is not None:
-        raise ScenarioError("seed given twice", line)
+        raise ScenarioError("seed given twice")
     try:
         sc.seed = int(parts[1])
     except ValueError:
-        raise ScenarioError(f"seed must be an integer, got {parts[1]!r}", line)
+        raise ScenarioError(f"seed must be an integer, got {parts[1]!r}")
     sc.decl_lines.append(f"seed {sc.seed}")
 
 
-def _declaration(sc: Scenario, kind: str, text: str, line: int) -> None:
+def _declaration(sc: Scenario, kind: str, text: str) -> None:
     # "<kind> <name> [on|in <home>] = <body>"
     if "=" not in text:
-        raise ScenarioError("declaration needs '='", line)
+        raise ScenarioError("declaration needs '='")
     head, body = text.split("=", 1)
     parts = head.split()
     if kind == "universe":
         if len(parts) != 2:
-            raise ScenarioError("usage: universe NAME = e1 e2 ...", line)
+            raise ScenarioError("usage: universe NAME = e1 e2 ...")
     elif len(parts) != 4 or parts[2] not in ("on", "in"):
-        raise ScenarioError(f"usage: {kind} NAME on UNIVERSE = ...", line)
+        raise ScenarioError(f"usage: {kind} NAME on UNIVERSE = ...")
     name, pool = parts[1], getattr(sc, _POOLS[kind])
     if name in pool:
-        raise ScenarioError(f"duplicate {kind} name {name!r}", line)
+        raise ScenarioError(f"duplicate {kind} name {name!r}")
     home = None
     if kind != "universe":
         link, ref = parts[2:]
         # A state "in" a basis is written in that basis; all else is "on"
         # a universe, which states and maps take in its standard basis.
         if kind == "state" and link == "in":
-            home = sc.lookup(ref, "basis|universe", line)
+            home = sc.lookup(ref, "basis|universe")
         else:
-            home = sc.lookup(ref, "universe", line)
+            home = sc.lookup(ref, "universe")
             if kind in ("state", "map"):
                 home = sc.standard_bases[ref]
-    try:
-        pool[name], canonical = _DECLARATIONS[kind](name, home, body.strip())
-    except QmSetsError as exc:
-        raise ScenarioError(str(exc), line)
+    pool[name], canonical = _DECLARATIONS[kind](name, home, body.strip())
     if kind == "universe":
         sc.standard_bases[name] = standard_basis(pool[name], name=name)
     sc.decl_lines.append(f"{' '.join(parts)} = {canonical}")
 
 
-def _command(sc: Scenario, kind: str, text: str, line: int) -> None:
+def _command(sc: Scenario, kind: str, text: str) -> tuple:
+    """The args, destination and resolved values of a command."""
     tokens = text.split()[1:]
     destination = None
     if len(tokens) >= 2 and tokens[-2] == "to":
         destination = tokens[-1]
         tokens = tokens[:-2]
+        if "\0" in destination:  # no file system takes it, and realpath raises ValueError
+            raise ScenarioError(f"output path {destination!r} contains a NUL byte")
         real = os.path.realpath
         if any(real(c.destination) == real(destination) for c in sc.commands if c.destination):
-            raise ScenarioError(f"output path {destination!r} used twice", line)
+            raise ScenarioError(f"output path {destination!r} used twice")
     if kind == "cascade":
         if "from" not in tokens:
-            raise ScenarioError("usage: cascade ATTR... from STATE", line)
+            raise ScenarioError("usage: cascade ATTR... from STATE")
         idx = tokens.index("from")
         attrs, rest = tokens[:idx], tokens[idx + 1:]
         if not attrs or len(rest) != 1:
-            raise ScenarioError("usage: cascade ATTR... from STATE", line)
+            raise ScenarioError("usage: cascade ATTR... from STATE")
         tokens = attrs + rest
     kinds = COMMANDS[kind]
     extra = len(tokens) - len(kinds)
@@ -311,9 +311,8 @@ def _command(sc: Scenario, kind: str, text: str, line: int) -> None:
         for _ in range(1 + extra if k.endswith("...") else 1)
     ]
     if extra < 0 or len(wanted) != len(tokens):
-        raise ScenarioError(f"usage: {kind} {' '.join(kinds).upper()}", line)
-    values = tuple(sc.lookup(t, k, line) for t, k in zip(tokens, wanted))
-    sc.commands.append(Command(line, kind, tuple(tokens), destination, values))
+        raise ScenarioError(f"usage: {kind} {' '.join(kinds).upper()}")
+    return tuple(tokens), destination, tuple(map(sc.lookup, tokens, wanted))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -324,14 +323,17 @@ def parse_scenario(text: str) -> Scenario:
         if not statement:
             continue
         head = statement.split()[0]
-        if head == "seed":
-            _seed(scenario, statement, line)
-        elif head in _DECLARATIONS:
-            _declaration(scenario, head, statement, line)
-        elif head in COMMANDS:
-            _command(scenario, head, statement, line)
-        else:
-            raise ScenarioError(f"unknown statement {head!r}", line)
+        try:
+            if head == "seed":
+                _seed(scenario, statement)
+            elif head in _DECLARATIONS:
+                _declaration(scenario, head, statement)
+            elif head in COMMANDS:
+                scenario.commands.append(Command(line, head, *_command(scenario, head, statement)))
+            else:
+                raise ScenarioError(f"unknown statement {head!r}")
+        except QmSetsError as exc:  # the one place a parse error gets its line
+            raise ScenarioError(str(exc), line) from None
     first = next((c for c in scenario.commands if c.kind in SAMPLING_COMMANDS), None)
     if scenario.seed is None and first is not None:
         raise ScenarioError("a seed is required when sampling commands appear", first.line)

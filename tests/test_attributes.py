@@ -1,6 +1,9 @@
+import time
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qmsets import (
     Attribute,
@@ -17,6 +20,7 @@ from qmsets import (
     is_csca,
     join_attributes,
 )
+from qmsets.attributes import value_sort_key
 
 
 @pytest.fixture
@@ -146,3 +150,39 @@ class TestAcrossUniverses:
             with pytest.raises(CompatibilityError) as exc:
                 call([f, g, other])
             assert str(exc.value) == "attributes 'f' and 'h' are incompatible"
+
+
+class TestValueOrder:
+    """Numeric tokens in exact numeric order, an exponent included, without
+    building 10**exponent."""
+
+    VALUES = ["1e100000000", "-1e100000000", "1e-100000000", "1/2", "2", "inf", "x"]
+
+    def test_large_exponents_build_fast_and_sort_exactly(self):
+        u = Universe.of([f"u{i}" for i in range(len(self.VALUES))])
+        start = time.perf_counter()
+        f = Attribute("f", u, tuple(self.VALUES))
+        assert time.perf_counter() - start < 1
+        # -10**1e8 < 10**-1e8 < 1/2 < 2 < 10**1e8, then inf and x as text
+        assert f.attained_values() == [
+            "-1e100000000", "1e-100000000", "1/2", "2", "1e100000000", "inf", "x"
+        ]
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["", "-", "+"]),
+        st.sampled_from(["0", "1", "25", "1_0", "007", "3.", ".5", "2.50"]),
+        st.sampled_from(["", "/3", "/1_0", "e0", "E2", "e-3", "e+1", "e1_0", "e-20"]),
+    ), min_size=1, max_size=8))
+    def test_numeric_tokens_sort_as_fractions(self, parts):
+        def exact(token):  # Fraction() builds each power here, the exponents being small
+            try:
+                return (0, Fraction(token), token)
+            except ValueError:  # an underscore, before Python 3.11
+                return (1, Fraction(0), token)
+
+        tokens = {"".join(p) for p in parts if not ("." in p[1] and "/" in p[2])}
+        assert sorted(tokens, key=value_sort_key) == sorted(tokens, key=exact)
+
+    @pytest.mark.parametrize("token", ["1e", "e5", "1/2e3", "1e5e5", "1e_5", "1e5_", "nan"])
+    def test_malformed_exponent_tokens_are_text(self, token):
+        assert value_sort_key(token) == (1, Fraction(0), token)

@@ -3,7 +3,8 @@
 `golden/errors/<case>.qms` is a small scenario that stops at one
 `raise ScenarioError(` in scenario.py.  Its first two lines are comments:
 `# raise: <message>` names that raise by its message's literal text, with
-`{}` for each replacement field, and `# exit <code>: <line>` gives what
+`{}` for each replacement field and `{{` and `}}` for a literal brace, as in a
+format string, and `# exit <code>: <line>` gives what
 `main` returns and the one line it prints to stderr.
 """
 
@@ -29,14 +30,13 @@ def header(path):
 
 
 def template(message: ast.expr) -> str:
-    """A raise's message as literal text, `{}` for each replacement field."""
+    """A raise's message as literal text, `{}` for each replacement field and
+    a literal brace doubled, so that `f"{{}}"` and `f"{x}"` differ."""
     if isinstance(message, ast.Constant):
-        return message.value
+        return message.value.replace("{", "{{").replace("}", "}}")
     if isinstance(message, ast.JoinedStr):
-        return "".join(
-            part.value if isinstance(part, ast.Constant) else "{}" for part in message.values
-        )
-    return "{}"  # a message passed through, such as str(exc)
+        return "".join(map(template, message.values))
+    return "{}"  # a replacement field, or a message passed through, such as str(exc)
 
 
 def source_templates() -> Counter:
@@ -52,7 +52,10 @@ def source_templates() -> Counter:
 def test_error_case(path, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # where a case's `to` files would go if it parsed
     raised, code, stderr = header(path)
-    message = ".+".join(map(re.escape, raised.split("{}")))
+    message = "".join(
+        {"{}": ".+", "{{": r"\{", "}}": r"\}"}.get(part, re.escape(part))
+        for part in re.split(r"(\{\}|\{\{|\}\})", raised)
+    )
     assert re.fullmatch(r"qmsets: line \d+: " + message, stderr), (raised, stderr)
     assert main([str(path)]) == code
     assert capsys.readouterr() == ("", stderr + "\n")

@@ -239,3 +239,19 @@ class TestRawBasisChecks:
             Basis(u3, "B", ("x", "x", "z"), vectors)
         assert type(exc.value) is QmSetsError
         assert str(exc.value) == "label 'z' is not in the universe"
+
+
+class TestKetTableRawBasis:
+    """ket_table checks a raw Basis, which check_basis has not validated."""
+
+    def test_too_few_vectors(self, u3, u_basis):
+        raw = Basis(u3, "B", ("x", "y"), [{"a"}, {"b"}])
+        with pytest.raises(BasisError) as exc:
+            ket_table([u_basis, raw])
+        assert str(exc.value) == "basis 'B' needs 3 vectors"
+
+    def test_dependent_vectors(self, u3, u_basis):
+        raw = Basis(u3, "B", ("x", "y", "z"), [{"a"}, {"b"}, {"a", "b"}])
+        with pytest.raises(BasisError) as exc:
+            ket_table([u_basis, raw], paper_order=True)
+        assert str(exc.value) == "basis 'B' vectors are GF(2)-dependent"

@@ -43,3 +43,27 @@ def test_stdout_matches_golden(path, fmt, paper_order, capsys):
     got, want = capsys.readouterr().out, (GOLDEN / name).read_text(encoding="utf-8")
     if got != want:
         pytest.fail(f"{name}: {first_difference(got, want)}")
+
+
+# Kept apart from GOLDEN/*.qms, whose stdout alone CI compares under python -O.
+TO_FILES = GOLDEN / "to_files"
+# `--seed 9` overrides the file's `seed 5`, so the cascade's draws change too.
+OUTPUT_VARIANTS = {"": [], ".paper-seed9": ["--paper-order", "--seed", "9"]}
+
+
+@pytest.mark.parametrize("variant", OUTPUT_VARIANTS, ids=["rows", "paper-seed9"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_output_files_match_golden(fmt, variant, capsys, monkeypatch, tmp_path):
+    """`golden/to_files/output_files.qms` writes four of its commands to `to`
+    files; `output_files<variant>.<fmt>` beside it holds its stdout, then each
+    file it wrote, by name, under a `==> <name> <==` line."""
+    monkeypatch.chdir(tmp_path)
+    argv = [str(TO_FILES / "output_files.qms"), "--format", fmt] + OUTPUT_VARIANTS[variant]
+    assert main(argv) == 0
+    got = capsys.readouterr().out + "".join(
+        f"==> {p.name} <==\n{p.read_text(encoding='utf-8')}" for p in sorted(tmp_path.iterdir())
+    )
+    name = f"output_files{variant}.{fmt}"
+    want = (TO_FILES / name).read_text(encoding="utf-8")
+    if got != want:
+        pytest.fail(f"{name}: {first_difference(got, want)}")

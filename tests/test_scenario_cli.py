@@ -396,6 +396,22 @@ class TestMainExitCodes:
         assert capsys.readouterr() == ("", f"qmsets: line 5: output path {alias!r} used twice\n")
         assert not (tmp_path / "out.txt").exists()
 
+    @pytest.mark.parametrize("earlier", ["", "entropy P to out.txt\n"])
+    def test_nul_in_an_output_path_is_a_parse_error(self, tmp_path, monkeypatch, capsys, earlier):
+        """open() and os.path.realpath() raise ValueError on a NUL; the path
+        is refused on its own line instead, before any output."""
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "nul.qms"
+        bad.write_text(
+            f"universe U = a b\npartition P on U = {{a}}|{{b}}\n{earlier}join P P to x\0y\n"
+        )
+        assert main([str(bad)]) == 2
+        line = 3 + bool(earlier)
+        assert capsys.readouterr() == (
+            "", f"qmsets: line {line}: output path 'x\\x00y' contains a NUL byte\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nul.qms"]
+
     @pytest.mark.parametrize("declaration", [
         "attribute f on U = a: b:2 c:2",
         "attribute f on U = :1 b:2 c:2",

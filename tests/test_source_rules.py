@@ -78,3 +78,26 @@ def test_library_kets_skip_standard_ket(path):
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "standard_ket"
     ]
     assert not lines, f"{path.name} calls standard_ket( at lines {lines}"
+
+
+def test_only_parse_scenario_numbers_parse_errors():
+    """parse_scenario gives every parse error its line, in one handler around
+    each statement; the readers it calls know no line, so none can forget it."""
+    path = Path(qmsets.__file__).parent / "scenario.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    inside = {
+        id(node) for fn in functions if fn.name == "parse_scenario" for node in ast.walk(fn)
+    }
+    with_line = [
+        fn.name for fn in functions if fn.name != "parse_scenario"
+        and "line" in {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+    ]
+    assert not with_line, f"functions with a line parameter: {with_line}"
+    numbered = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ScenarioError" and id(node) not in inside
+        and len(node.exc.args) + len(node.exc.keywords) != 1
+    ]
+    assert not numbered, f"raise ScenarioError( with more than a message at lines {numbered}"
