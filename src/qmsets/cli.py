@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.scenario, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         print(f"qmsets: {exc}", file=sys.stderr)
         return 1
 

@@ -11,37 +11,3 @@ def u3():
 @pytest.fixture
 def u4():
     return Universe.of("abcd")
-
-
-class UnionFind:
-    """Independent oracle for equivalence-closure partitions."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def groups(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return {frozenset(g) for g in out.values()}
-
-
-def brute_dit_pairs(partition):
-    """Oracle: enumerate all ordered pairs and filter by block membership."""
-    pairs = set()
-    for u in partition.universe:
-        for v in partition.universe:
-            if u != v and partition.block_of(u) != partition.block_of(v):
-                pairs.add((u, v))
-    return pairs

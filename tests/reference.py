@@ -2,10 +2,11 @@
 
 A partition is a frozenset of nonempty, disjoint blocks (frozensets of
 labels) that cover the universe.  A state is a nonempty subset S of the
-universe, an attribute a dict from labels to values, and a basis a list of
-subsets (its vectors, in order).  Nothing here is shared with qmsets: each
-definition is the textbook one, written for clarity, not speed, and meant
-for universes of a few elements.
+universe, an attribute a dict from labels to values, a permutation a dict
+from each label to its image, and a basis a list of subsets (its vectors,
+in order).  Nothing here is shared with qmsets: each definition is the
+textbook one, written for clarity, not speed, and meant for universes of a
+few elements.
 """
 
 import hashlib
@@ -76,12 +77,18 @@ def born(state, labels):
     return [(u, Fraction(1, len(state)), frozenset([u])) for u in labels if u in state]
 
 
+def value_order(value):
+    """The order of attribute values: digit strings first, as numbers, then
+    the rest as text."""
+    return (0, int(value), "") if value.isdigit() else (1, 0, value)
+
+
 def measure(f, state):
     """Measuring f in state S: value r with probability |f^-1(r) & S| / |S|, by
     counting, and collapse f^-1(r) & S; outcomes of nonzero probability, listed
-    by value (values here are numerals, ordered as numbers)."""
+    in value order."""
     out = []
-    for r in sorted(set(f.values()), key=int):
+    for r in sorted(set(f.values()), key=value_order):
         collapse = frozenset(u for u in state if f[u] == r)
         if collapse:
             out.append((r, Fraction(len(collapse), len(state)), collapse))
@@ -115,6 +122,38 @@ def cascade(fs, state, seed):
         steps.append(sample(f, state, seed, i))
         state = steps[-1][2]
     return steps
+
+
+def cascade_finals(fs, state):
+    """Every path of measurements of each f in turn, from S: the last collapse
+    of each path with the product of the probabilities along it.  The
+    collapses of one step partition the state, so no two paths end alike."""
+    finals = {state: Fraction(1)}
+    for f in fs:
+        finals = {c: p * q for s, p in finals.items() for _, q, c in measure(f, s)}
+    return finals
+
+
+def compose(t, s):
+    """t, then s: each label to s(t(u))."""
+    return {u: s[t[u]] for u in t}
+
+
+def closure(labels, generators):
+    """The group the generators generate: the identity, closed under
+    composition with each generator (a finite set of permutations closed
+    under composition is a group); a list of permutations."""
+    group = [{u: u for u in labels}]
+    for t in group:  # the list grows as it is walked
+        for g in generators:
+            if (c := compose(t, g)) not in group:
+                group.append(c)
+    return group
+
+
+def orbits(labels, group):
+    """The orbit {t(u) : t in G} of each label u, a partition when G is a group."""
+    return frozenset(frozenset(t[u] for t in group) for u in labels)
 
 
 def symmetric_difference(sets):

@@ -42,7 +42,7 @@ from qmsets import (
 )
 from qmsets.gf2 import bits_to_subset
 
-from conftest import UnionFind
+import reference as ref
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -216,12 +216,9 @@ def test_criterion_9_orbit_oracle():
         catalog.append(Permutation.from_cycles(universe, [e]))
         for gens in combinations_with_replacement(catalog, 2):
             group = generate_group(list(gens), universe)
-            uf = UnionFind(e)
-            for t in gens:
-                for u in e:
-                    uf.union(u, t(u))
-            assert set(orbit_partition(group).block_sets()) == uf.groups()
-    report(9, "orbit partitions agree with the union-find closure oracle, |U| <= 5")
+            closure = ref.closure(e, [{u: t(u) for u in e} for t in gens])
+            assert set(orbit_partition(group).block_sets()) == ref.orbits(e, closure)
+    report(9, "orbit partitions agree with the reference orbits of the closure, |U| <= 5")
 
 
 def test_criterion_10_monte_carlo():

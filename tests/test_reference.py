@@ -1,12 +1,15 @@
-"""The partition lattice, dit-sets, entropy, the Born rule, measurement and
-its seeded draws against tests/reference.py, on every input over a 4-set:
-all 15 partitions, every ordered pair of them, and every nonempty state.
-GF(2) coordinates and basis checks against it on every ordered triple of
-distinct nonempty subsets of a 3-set and on a seeded sample of ordered bases
-of the 4-set."""
+"""The library against tests/reference.py, on every input over a 4-set.
+
+The partition lattice, dit-sets, entropy, the Born rule, measurement and
+its seeded draws: all 15 partitions, every ordered pair of them, and every
+nonempty state.  Cascades and their exact finals: every pair of
+partition-shaped attributes whose join is discrete.  Group closure and
+orbits: every set of one or two of the 24 permutations.  GF(2) coordinates
+and basis checks: every ordered triple of distinct nonempty subsets of a
+3-set and a seeded sample of ordered bases of the 4-set."""
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -14,20 +17,25 @@ import reference as ref
 from qmsets import (
     Attribute,
     BasisError,
+    Permutation,
     SetPartition,
+    TransformationGroup,
     Universe,
     block_sizes,
     born_distribution,
     check_basis,
+    csca_final_distribution,
     csca_measure,
     dit,
     enumerate_partitions,
+    generate_group,
     join,
     ket_table,
     logical_entropy,
     measure_distribution,
     measure_sample,
     meet,
+    orbit_partition,
     refines,
     standard_basis,
     standard_ket,
@@ -132,8 +140,9 @@ def test_draws_against_the_reference(p):
 
 def test_cascades_against_the_reference():
     """Every ordered pair of partition-shaped attributes whose join is
-    discrete, from the full state, seeds 0-9; the second step is certain
-    whenever the first partition is discrete."""
+    discrete: cascades from the full state, seeds 0-9, where the second step
+    is certain whenever the first partition is discrete; and the exact
+    finals from every nonempty state."""
     pairs = [(p, q) for p in PARTITIONS for q in PARTITIONS if len(ref.join(p, q)) == 4]
     assert len(pairs) == 113
     for p, q in pairs:
@@ -142,6 +151,27 @@ def test_cascades_against_the_reference():
         for seed in range(10):
             record = csca_measure(fs, standard_ket(U, LABELS), seed)
             assert steps(record.steps) == ref.cascade(values, frozenset(LABELS), seed)
+        for state in STATES:
+            finals = csca_final_distribution(fs, standard_ket(U, state))
+            assert finals == ref.cascade_finals(values, state), (text(p), text(q), state)
+
+
+PERMUTATIONS = [dict(zip(LABELS, images)) for images in permutations(LABELS)]
+
+
+def test_groups_and_orbits_against_the_reference():
+    """Every set of one or two permutations: the closure, its orbits, and the
+    orbits of the same elements as an unchecked set, which orbit_partition
+    checks."""
+    sets = [gens for k in (1, 2) for gens in combinations(PERMUTATIONS, k)]
+    assert len(sets) == 24 + 276
+    for gens in sets:
+        group = generate_group([Permutation.from_mapping(U, g) for g in gens], U)
+        closure = ref.closure(LABELS, gens)
+        assert {t.images for t in group} == {tuple(t[u] for u in LABELS) for t in closure}
+        orbits = ours(ref.orbits(LABELS, closure))
+        assert orbit_partition(group) == orbits, [t.images for t in group]
+        assert orbit_partition(TransformationGroup(U, group.elements)) == orbits
 
 
 U3 = Universe.of(("c", "a", "b"))

@@ -321,6 +321,12 @@ class TestMainExitCodes:
         assert main(["/nonexistent/path.qms"]) == 1
         assert "qmsets:" in capsys.readouterr().err
 
+    def test_scenario_path_with_a_nul_is_a_usage_error(self, capsys):
+        assert main(["x\0y"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qmsets: embedded null byte\n"
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.qms"
         bad.write_text("universe U = a a\n")

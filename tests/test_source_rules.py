@@ -101,3 +101,41 @@ def test_only_parse_scenario_numbers_parse_errors():
         and len(node.exc.args) + len(node.exc.keywords) != 1
     ]
     assert not numbered, f"raise ScenarioError( with more than a message at lines {numbered}"
+
+
+TESTS = sorted(Path(__file__).parent.rglob("*.py"))
+
+
+def test_one_oracle_per_definition():
+    """tests/reference.py states each definition once, so no other test
+    module draws with blake2b, conftest.py holds fixtures only, and no test
+    imports the benchmark package or its oracle."""
+    draws, imports = [], []
+    for path in TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+            if "blake2b" in names and path.name != "reference.py":
+                draws.append((path.name, node.lineno))
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("perfbench", "oracle") for m in modules):
+                imports.append((path.name, node.lineno))
+    assert not draws, f"blake2b outside tests/reference.py at {draws}"
+    assert not imports, f"imports of perfbench or its oracle at {imports}"
+
+    conftest = Path(__file__).parent / "conftest.py"
+    body = ast.parse(conftest.read_text(encoding="utf-8")).body
+    others = [
+        node.lineno for node in body
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.FunctionDef) and any(
+            ast.unparse(d).split("(")[0] in ("pytest.fixture", "fixture")
+            for d in node.decorator_list))
+    ]
+    assert not others, f"conftest.py defines more than fixtures at lines {others}"

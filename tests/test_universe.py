@@ -19,7 +19,7 @@ from qmsets import (
     refines,
 )
 
-from conftest import brute_dit_pairs
+import reference as ref
 
 
 def part(universe, *blocks):
@@ -116,7 +116,7 @@ class TestDit:
 
     def test_dit_matches_brute_force_u4(self, u4):
         for p in enumerate_partitions(u4):
-            assert dit(p).pairs == brute_dit_pairs(p)
+            assert dit(p).pairs == ref.dit(frozenset(p.block_sets()), u4)
 
     def test_dit_join_is_union_exhaustive_u4(self, u4):
         parts = enumerate_partitions(u4)
