@@ -110,10 +110,14 @@ class OutcomeDistribution:
         total = sum((o.probability for o in self.outcomes), Fraction(0))
         if total != 1:
             raise QmSetsError(f"probabilities sum to {total}, not 1")
-        union = 0
+        union, values = 0, set()
         for o in self.outcomes:
             if o.probability < 0:
                 raise QmSetsError("negative probability")
+            if o.value in values:
+                raise QmSetsError(f"outcome value {o.value!r} appears twice")
+            values.add(o.value)
+            require_same_universe(o.collapsed, self.state)
             collapsed = o.collapsed._bits()
             if not collapsed:
                 raise QmSetsError("empty collapsed state")

@@ -18,7 +18,6 @@ from .universe import Universe, braced
 DEFAULT_KET_TABLE_BOUND = 10
 
 
-subset_to_bits = Universe.mask_of  # (universe, labels); tests/test_gf2.py imports it
 _single_bits = cache(lambda n: tuple(1 << i for i in range(n)))  # standard masks, once per n
 
 
@@ -81,9 +80,9 @@ class Basis:
     """An ordered list of |U| GF(2)-independent subsets of the universe, held
     as their masks (bit i = element i); `vectors` is the label view.
 
-    Construct through check_basis or standard_basis, which validate
-    independence; the raw constructor checks only that the labels are in U
-    and that each vector has its own name.
+    The constructor checks, in this order: |U| vectors, their labels, one
+    distinct name per vector, and full GF(2) rank (which single-bit vectors,
+    the standard basis, have without an elimination).
     """
 
     universe: Universe
@@ -94,10 +93,17 @@ class Basis:
 
     def __init__(self, universe: Universe, name: str, vector_names: tuple[str, ...],
                  vectors: Sequence[Iterable[str]]):
+        n = len(universe)
+        if len(vectors) != n:
+            raise BasisError(f"basis {name!r} needs exactly {n} vectors, got {len(vectors)}")
         masks = tuple(map(universe.mask_of, vectors))
-        positions = {n: j for j, n in enumerate(vector_names)}
-        if len(positions) != len(masks):
-            raise BasisError(f"basis {name!r} needs {len(universe)} distinct vector names")
+        positions = {v: j for j, v in enumerate(vector_names)}
+        if len(positions) != n or len(vector_names) != n:
+            raise BasisError(f"basis {name!r} needs {n} distinct vector names")
+        if masks != _single_bits(n) and (i := _echelon(masks)[1]) is not None:
+            raise BasisError(f"basis {name!r} is rank-deficient: vector {i} = "
+                             f"{braced(universe.labels_of(masks[i]))} "
+                             "is a GF(2) combination of earlier vectors")
         values = (universe, name, vector_names, masks, positions)
         for key, value in zip(self.__match_args__, values):
             object.__setattr__(self, key, value)
@@ -139,24 +145,10 @@ def check_basis(
     name: str,
     vector_names: Sequence[str] | None = None,
 ) -> Basis:
-    """Validate a candidate basis: right count and full GF(2) rank."""
-    n = len(universe)
-    subsets = tuple(map(frozenset, vectors))
-    if len(subsets) != n:
-        raise BasisError(
-            f"basis {name!r} needs exactly {n} vectors, got {len(subsets)}"
-        )
+    """Basis(...), whose constructor checks it, with default names name0, name1, ..."""
     if vector_names is None:
-        vector_names = [f"{name}{i}" for i in range(n)]
-    basis = Basis(universe, name, tuple(vector_names), subsets)
-    _, i = _echelon(basis.masks)
-    if i is not None:
-        raise BasisError(
-            f"basis {name!r} is rank-deficient: vector {i} = "
-            f"{braced(universe.labels_of(basis.masks[i]))} "
-            f"is a GF(2) combination of earlier vectors"
-        )
-    return basis
+        vector_names = [f"{name}{i}" for i in range(len(universe))]
+    return Basis(universe, name, tuple(vector_names), tuple(vectors))
 
 
 def _combine(columns: Sequence[int], mask: int) -> int:
@@ -234,19 +226,15 @@ def _coordinate_table(basis: Basis) -> list[int]:
     """coords[m] is the coordinate mask, in `basis`, of the subset with bits m.
 
     Built by summing basis vectors over every coordinate mask c, each sum
-    extending the one for c without its lowest bit.
+    extending the one for c without its lowest bit; a Basis is independent.
     """
     vectors = basis.masks
-    size = 1 << len(basis.universe)
-    if len(vectors) != len(basis.universe):
-        raise BasisError(f"basis {basis.name!r} needs {len(basis.universe)} vectors")
+    size = 1 << len(vectors)
     subset = [0] * size
     coords = [0] * size
     for c in range(1, size):
         low = c & -c
         m = subset[c] = subset[c ^ low] ^ vectors[low.bit_length() - 1]
-        if not m or coords[m]:
-            raise BasisError(f"basis {basis.name!r} vectors are GF(2)-dependent")
         coords[m] = c
     return coords
 

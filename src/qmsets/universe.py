@@ -4,11 +4,11 @@ A partition is stored as int block masks (bit i is element i in universe
 order), ordered by least bit; label tuples and the ``{a}|{b,c}`` text are
 views.  Two partitions of the same universe are therefore equal iff they are
 structurally equal, and every partition is hashable.  A dit-set is held as
-the partition it determines.  The invariants (nonempty, disjoint, covering)
-are checked once, in from_blocks; the library's own constructions build
-valid masks and skip the check.  Each type the library builds has such a
-constructor (_of, ...): it writes the fields into the instance dict;
-SetPartition._from_masks sorts masks into canonical order first.
+the partition it determines.  Public constructors check, _of trusts: the
+invariants (nonempty, disjoint, covering, ordered) are checked once, in the
+SetPartition constructor, which from_blocks calls after a sort.  The library
+builds its values valid and writes their fields into the instance dict
+unchecked, through each type's _of; SetPartition._from_masks sorts first.
 """
 
 from __future__ import annotations
@@ -111,30 +111,37 @@ def _least_bit(mask: int) -> int:
 class SetPartition:
     """Disjoint nonempty blocks covering a universe, as block masks.
 
-    The raw constructor takes masks that already form a partition, ordered
-    by least bit, and checks nothing; build from labels with from_blocks or
-    parse, which check.
+    The constructor rejects masks that do not form a partition ordered by
+    least bit, so an accepted value keeps the masks it was given;
+    from_blocks and parse take label blocks in any order.
     """
 
     universe: Universe
     masks: tuple[int, ...]
 
+    def __post_init__(self):
+        if type(self.masks) is not tuple:
+            raise QmSetsError("partition masks must be a tuple")
+        full, seen, last = (1 << len(self.universe)) - 1, 0, 0
+        for mask in self.masks:
+            if not mask:
+                raise QmSetsError("partition has an empty block")
+            if not 0 < mask <= full:
+                raise QmSetsError(f"block mask {mask} has bits outside the universe")
+            if mask & seen:
+                (label,) = self.universe.labels_of(_least_bit(mask & seen))
+                raise QmSetsError(f"blocks are not disjoint at {label!r}")
+            if _least_bit(mask) < last:
+                raise QmSetsError("blocks are not ordered by least bit")
+            seen, last = seen | mask, _least_bit(mask)
+        if seen != full:
+            raise QmSetsError("blocks do not cover the universe")
+
     @classmethod
     def from_blocks(
         cls, universe: Universe, blocks: Iterable[Iterable[str]]
     ) -> "SetPartition":
-        masks = sorted(map(universe.mask_of, blocks), key=_least_bit)
-        if 0 in masks:
-            raise QmSetsError("partition has an empty block")
-        seen = 0
-        for mask in masks:
-            if mask & seen:
-                (label,) = universe.labels_of(_least_bit(mask & seen))
-                raise QmSetsError(f"blocks are not disjoint at {label!r}")
-            seen |= mask
-        if seen != (1 << len(universe)) - 1:
-            raise QmSetsError("blocks do not cover the universe")
-        return cls(universe, tuple(masks))
+        return cls(universe, tuple(sorted(map(universe.mask_of, blocks), key=_least_bit)))
 
     @classmethod
     def _of(cls, universe: Universe, masks: tuple[int, ...]) -> "SetPartition":

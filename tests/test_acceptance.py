@@ -9,8 +9,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
-import pytest
-
 from qmsets import (
     Attribute,
     LinearMap,
@@ -34,7 +32,6 @@ from qmsets import (
     norm,
     orbit_partition,
     parse_scenario,
-    pythagoras_check,
     run_scenario,
     standard_basis,
     standard_ket,

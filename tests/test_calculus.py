@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -434,6 +433,16 @@ class TestOutcomeDistributionChecks:
         with pytest.raises(QmSetsError) as exc:
             _distribution(u3, "ab", [(str(i), share, c) for i, c in enumerate(collapses)])
         assert str(exc.value) == "collapsed states do not partition the state"
+
+    def test_a_value_names_one_outcome(self, u3):
+        with pytest.raises(QmSetsError) as exc:
+            _distribution(u3, "ab", [("1", "1/2", "a"), ("1", "1/2", "b")])
+        assert str(exc.value) == "outcome value '1' appears twice"
+
+    def test_collapses_live_on_the_state_universe(self, u3):
+        elsewhere = standard_ket(Universe.of("xyz"), "xy")
+        with pytest.raises(CompatibilityError):
+            OutcomeDistribution(standard_ket(u3, "ab"), (Outcome("1", Fraction(1), elsewhere),))
 
 
 class TestLibraryDistributions:

@@ -21,7 +21,7 @@ from qmsets import (
     standard_ket,
     to_basis,
 )
-from qmsets.gf2 import bits_to_subset, subset_to_bits
+from qmsets.gf2 import bits_to_subset
 
 
 @pytest.fixture
@@ -95,13 +95,21 @@ class TestCheckBasis:
         b = standard_basis(u3)
         assert b.is_standard
 
-    def test_short_raw_basis_is_not_standard(self, u3):
-        short = Basis(u3, "B", ("a", "b"), (frozenset("a"), frozenset("b")))
-        assert not short.is_standard
+    def test_short_raw_basis_is_rejected(self, u3):
+        with pytest.raises(BasisError) as exc:
+            Basis(u3, "B", ("a", "b"), (frozenset("a"), frozenset("b")))
+        assert str(exc.value) == "basis 'B' needs exactly 3 vectors, got 2"
 
     def test_raw_basis_rejects_a_label_outside_the_universe(self, u3):
         with pytest.raises(QmSetsError, match="^label 'z' is not in the universe$"):
             Basis(u3, "B", ("x", "y", "z"), (frozenset("a"), frozenset("b"), frozenset("z")))
+
+    def test_raw_basis_rejects_a_repeated_vector(self, u3):
+        with pytest.raises(BasisError) as exc:
+            Basis(u3, "B", ("x", "y", "z"), (frozenset("a"), frozenset("a"), frozenset("b")))
+        assert str(exc.value) == (
+            "basis 'B' is rank-deficient: vector 1 = {a} "
+            "is a GF(2) combination of earlier vectors")
 
     def test_dependent_rejected(self, u3):
         with pytest.raises(BasisError, match="rank-deficient"):
@@ -142,7 +150,7 @@ class TestToBasis:
             bits = 0
             for name in converted.coords:
                 idx = alt.name_position(name)
-                bits ^= subset_to_bits(u4, alt.vectors[idx])
+                bits ^= u4.mask_of(alt.vectors[idx])
             assert bits_to_subset(u4, bits) == s.to_subset()
 
 
@@ -231,6 +239,11 @@ class TestVectorNames:
             check_basis(u3, [{"a"}, {"b"}, {"c"}], "B", names)
         assert str(exc.value) == "basis 'B' needs 3 distinct vector names"
 
+    def test_an_extra_name_repeating_another_is_rejected(self, u3):
+        with pytest.raises(BasisError) as exc:
+            check_basis(u3, [{"a"}, {"b"}, {"c"}], "B", ("x", "y", "z", "x"))
+        assert str(exc.value) == "basis 'B' needs 3 distinct vector names"
+
 
 class TestRawBasisChecks:
     def test_a_label_outside_the_universe_is_reported_before_a_repeated_name(self, u3):
@@ -242,16 +255,16 @@ class TestRawBasisChecks:
 
 
 class TestKetTableRawBasis:
-    """ket_table checks a raw Basis, which check_basis has not validated."""
+    """The raw constructor rejects a basis ket_table could not tabulate."""
 
-    def test_too_few_vectors(self, u3, u_basis):
-        raw = Basis(u3, "B", ("x", "y"), [{"a"}, {"b"}])
+    def test_too_few_vectors(self, u3):
         with pytest.raises(BasisError) as exc:
-            ket_table([u_basis, raw])
-        assert str(exc.value) == "basis 'B' needs 3 vectors"
+            Basis(u3, "B", ("x", "y"), [{"a"}, {"b"}])
+        assert str(exc.value) == "basis 'B' needs exactly 3 vectors, got 2"
 
-    def test_dependent_vectors(self, u3, u_basis):
-        raw = Basis(u3, "B", ("x", "y", "z"), [{"a"}, {"b"}, {"a", "b"}])
+    def test_dependent_vectors(self, u3):
         with pytest.raises(BasisError) as exc:
-            ket_table([u_basis, raw], paper_order=True)
-        assert str(exc.value) == "basis 'B' vectors are GF(2)-dependent"
+            Basis(u3, "B", ("x", "y", "z"), [{"a"}, {"b"}, {"a", "b"}])
+        assert str(exc.value) == (
+            "basis 'B' is rank-deficient: vector 2 = {a,b} "
+            "is a GF(2) combination of earlier vectors")

@@ -36,6 +36,7 @@ from qmsets import (
     Outcome,
     OutcomeDistribution,
     Permutation,
+    QmSetsError,
     SetKet,
     SetPartition,
     TransformationGroup,
@@ -805,8 +806,29 @@ def two_raw_basis_args(draw):
     return universe, a, tuple(b[i] if i == k else a[i] for i in range(3))
 
 
+@st.composite
+def raw_partition_masks(draw, universe):
+    """Any int masks for the raw SetPartition constructor: a partition's own
+    masks, the same masks in any order, or a few ints of any kind."""
+    n = len(universe)
+    masks = draw(partitions(universe)).masks
+    ints = st.integers(-1, 1 << n) | st.integers()
+    return tuple(draw(st.just(masks) | st.permutations(masks)
+                      | st.lists(ints, max_size=n + 1)))
+
+
+def _built(constructor, *args):
+    """constructor(*args), or None when it raises QmSetsError."""
+    try:
+        return constructor(*args)
+    except QmSetsError:
+        return None
+
+
 class TestMaskBases:
-    """A basis holds its vectors as masks; the label sets are a view of them."""
+    """A basis holds its vectors as masks; the label sets are a view of them.
+    Each public constructor checks its value: a raw partition or basis is the
+    one the label path (from_blocks, check_basis) builds, or is rejected."""
 
     def test_a_basis_is_its_masks(self):
         assert [f.name for f in fields(Basis)] == [
@@ -814,23 +836,40 @@ class TestMaskBases:
 
     @LAWS
     @given(st.data())
+    def test_a_raw_partition_is_the_one_from_blocks_builds(self, data):
+        u = data.draw(universes)
+        masks = data.draw(raw_partition_masks(u))
+        built = _built(SetPartition, u, masks)
+        in_range = all(0 <= m < 1 << len(u) for m in masks)
+        checked = in_range and _built(SetPartition.from_blocks, u, map(u.labels_of, masks))
+        if checked and checked.masks == masks:
+            assert_indistinguishable(built, checked)
+        else:
+            assert built is None
+
+    @LAWS
+    @given(st.data())
     def test_vectors_are_the_label_view_of_the_masks(self, data):
         u = data.draw(universes)
         name, names, vectors = data.draw(raw_basis_args(u))
-        b = Basis(u, name, names, [sorted(v, reverse=True) for v in vectors])
-        assert b.vectors == vectors
-        assert all(type(v) is frozenset for v in b.vectors)
-        assert b.masks == tuple(sum(1 << u.elements.index(x) for x in v) for v in vectors)
-        assert b.positions == {x: j for j, x in enumerate(names)}
+        b = _built(Basis, u, name, names, [sorted(v, reverse=True) for v in vectors])
+        assert b == _built(check_basis, u, vectors, name, names)
+        assert (b is not None) == ref.is_basis(vectors, u.elements)
+        if b is not None:
+            assert b.vectors == vectors
+            assert all(type(v) is frozenset for v in b.vectors)
+            assert b.masks == tuple(sum(1 << u.elements.index(x) for x in v) for v in vectors)
+            assert b.positions == {x: j for j, x in enumerate(names)}
 
     @LAWS
     @given(two_raw_basis_args())
     def test_equal_and_hash_alike_iff_the_public_fields_are_equal(self, uab):
         u, a, c = uab
-        b1, b2 = Basis(u, *a), Basis(u, c[0], c[1], [list(v) for v in c[2]])
-        assert (b1 == b2) == (a == c)
+        b1, b2 = _built(Basis, u, *a), _built(Basis, u, c[0], c[1], [list(v) for v in c[2]])
         if a == c:
-            assert hash(b1) == hash(b2)
+            assert b1 == b2 and hash(b1) == hash(b2)
+        elif b1 is not None and b2 is not None:
+            assert b1 != b2
 
 
 @st.composite

@@ -139,3 +139,21 @@ def test_one_oracle_per_definition():
             for d in node.decorator_list))
     ]
     assert not others, f"conftest.py defines more than fixtures at lines {others}"
+
+
+def test_every_module_level_import_is_used():
+    """No module in src/ or tests/ imports a name it never uses; __init__.py
+    imports to re-export, and `from __future__` names a compiler feature."""
+    unused = []
+    for path in [p for p in SOURCES if p.name != "__init__.py"] + TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [(path.name, node.lineno, n) for n in names if n not in used]
+    assert not unused, f"unused imports: {unused}"

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -55,6 +54,20 @@ class TestConstruction:
     def test_parse_round_trip(self, u3):
         p = part(u3, "a", "bc")
         assert SetPartition.parse(u3, str(p)) == p
+
+    @pytest.mark.parametrize("masks, message", [
+        ((3, 3), "blocks are not disjoint at 'a'"),
+        ((6, 1), "blocks are not ordered by least bit"),
+        ((1, 0, 6), "partition has an empty block"),
+        ((1, 2), "blocks do not cover the universe"),
+        ((1, 14), "block mask 14 has bits outside the universe"),
+        ((-1,), "block mask -1 has bits outside the universe"),
+        ([1, 6], "partition masks must be a tuple"),
+    ])
+    def test_raw_constructor_rejects_what_is_not_a_canonical_partition(self, u3, masks, message):
+        with pytest.raises(QmSetsError) as exc:
+            SetPartition(u3, masks)
+        assert str(exc.value) == message
 
 
 class TestTopAndBottom:
