@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .errors import CompatibilityError, QmSetsError
 from .gf2 import SetKet, standard_basis
-from .universe import SetPartition, Universe
+from .universe import SetPartition, Universe, _at_bits
 
 
 # A mantissa and a decimal exponent, such as "-2.5" and "7" in "-2.5e7".
@@ -130,8 +130,7 @@ def is_csca(fs: Sequence[Attribute]) -> bool:
 
 def eigen_sets(f: Attribute, r: str) -> list[SetKet]:
     """All nonzero vectors of the eigenspace for value r: nonempty S within f^-1(r)."""
-    preimage = f._spectrum.get(r, 0)
-    bits = [1 << i for i in range(preimage.bit_length()) if preimage >> i & 1]
+    bits = [1 << i for i in _at_bits(range(len(f.universe)), f._spectrum.get(r, 0))]
     basis = standard_basis(f.universe)
     return [SetKet._of(basis, sum(c)) for k in range(1, len(bits) + 1)
             for c in combinations(bits, k)]

@@ -24,7 +24,7 @@ from .gf2 import (
     is_nonsingular,
     standard_basis,
 )
-from .universe import SetPartition, join as partition_join, require_same_universe
+from .universe import SetPartition, _at_bits, join as partition_join, require_same_universe
 
 
 def _standard_bits(s: SetKet) -> int:
@@ -42,11 +42,8 @@ def _standard_basis_of(s: SetKet) -> Basis:
 
 def bracket(t: SetKet, s: SetKet) -> int:
     """Overlap count |T intersect S| for standard-basis kets."""
-    tt = _standard_bits(t)
-    ss = _standard_bits(s)
-    if t.universe != s.universe:
-        raise QmSetsError("bracket operands on different universes")
-    return (tt & ss).bit_count()
+    require_same_universe(t, s)
+    return (_standard_bits(t) & _standard_bits(s)).bit_count()
 
 
 class Norm(NamedTuple):
@@ -71,9 +68,9 @@ class KetBraResolution:
 def ketbra_resolve(t: SetKet, s: SetKet) -> KetBraResolution:
     """Sum over u of <T|{u}><{u}|S>, with the singleton resolution of S."""
     value = bracket(t, s)
-    basis, bits = _standard_basis_of(s), s._bits()
-    singletons = (1 << i for i in range(bits.bit_length()) if bits >> i & 1)
-    return KetBraResolution(value, tuple(SetKet._of(basis, m) for m in singletons))
+    basis, n = _standard_basis_of(s), len(s.universe)
+    singletons = [SetKet._of(basis, 1 << i) for i in _at_bits(range(n), s._bits())]
+    return KetBraResolution(value, tuple(singletons))
 
 
 @dataclass(frozen=True)
@@ -140,11 +137,9 @@ def born_distribution(s: SetKet) -> OutcomeDistribution:
     if not bits:
         raise EmptyStateError("cannot condition on the empty state")
     basis, p = _standard_basis_of(s), Fraction(1, bits.bit_count())
-    names, outcomes = basis.vector_names, []
-    while bits:  # one outcome per set bit, lowest first
-        low = bits & -bits
-        outcomes.append(Outcome._of(names[low.bit_length() - 1], p, SetKet._of(basis, low)))
-        bits ^= low
+    names = basis.vector_names
+    outcomes = [Outcome._of(names[i], p, SetKet._of(basis, 1 << i))
+                for i in _at_bits(range(len(names)), bits)]
     return OutcomeDistribution._of(s, tuple(outcomes))
 
 
@@ -271,6 +266,7 @@ class MeasurementJoin:
 
 
 def measurement_join(f: Attribute, s: SetKet) -> MeasurementJoin:
+    require_same_universe(f, s)
     outside = ~_standard_bits(s)
     joined = partition_join(measurement_join_partition(s), inverse_image_partition(f))
     labels_of = joined.universe.labels_of
@@ -301,8 +297,6 @@ def csca_measure(
     """Sampled non-degenerate measurement: thread collapses through a CSCA."""
     if not is_csca(fs):
         raise QmSetsError("attribute set is not a CSCA; measurement is degenerate")
-    if not s._bits():
-        raise EmptyStateError("cannot measure the empty state")
     steps = []
     state = s
     for i, f in enumerate(fs):

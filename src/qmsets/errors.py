@@ -6,11 +6,11 @@ class QmSetsError(Exception):
 
 
 class CompatibilityError(QmSetsError):
-    """Operands live on different universes."""
+    """Operands live on different universes: every op raises this, before BasisError."""
 
 
 class BasisError(QmSetsError):
-    """Invalid basis, or a ket expressed in the wrong basis for an operation."""
+    """Invalid basis, or a ket in the wrong basis for an operation on its universe."""
 
 
 class BoundError(QmSetsError):

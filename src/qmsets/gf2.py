@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Sequence
 
-from .errors import BasisError, BoundError, CompatibilityError
-from .universe import Universe, braced
+from .errors import BasisError, BoundError
+from .universe import Universe, _at_bits, braced, require_same_universe
 
 DEFAULT_KET_TABLE_BOUND = 10
 
@@ -118,9 +118,7 @@ class Basis:
 
     def names_of(self, mask: int) -> tuple[str, ...]:
         """The names of the vectors set in a coordinate mask, in basis order."""
-        return tuple(
-            name for j, name in enumerate(self.vector_names) if (mask >> j) & 1
-        )
+        return tuple(_at_bits(self.vector_names, mask))
 
     def mask_of(self, names: Iterable[str]) -> int:
         """The coordinate mask with the bit of each name set, validating each."""
@@ -206,6 +204,7 @@ def standard_ket(universe: Universe, labels: Iterable[str]) -> SetKet:
 
 def add(s: SetKet, t: SetKet) -> SetKet:
     """GF(2) sum: symmetric difference of coordinate sets in a shared basis."""
+    require_same_universe(s, t)
     if s.basis != t.basis:
         raise BasisError(
             "kets are expressed in different bases; re-express before adding"
@@ -215,8 +214,7 @@ def add(s: SetKet, t: SetKet) -> SetKet:
 
 def to_basis(s: SetKet, target: Basis) -> SetKet:
     """Re-express a ket in another basis over the same universe."""
-    if s.universe != target.universe:
-        raise CompatibilityError("bases live on different universes")
+    require_same_universe(s, target)
     if s.basis == target:
         return s
     return SetKet._of(target, gf2_solve(target.masks, s._bits()))
@@ -260,11 +258,9 @@ def _ket_masks(bases: Sequence[Basis], paper_order: bool,
     """The columns of the ket table: each basis's coordinate masks, in row order."""
     if not bases:
         raise BasisError("ket_table needs at least one basis")
-    universe = bases[0].universe
     for b in bases[1:]:
-        if b.universe != universe:
-            raise CompatibilityError("all bases must share one universe")
-    n = len(universe)
+        require_same_universe(bases[0], b)
+    n = len(bases[0].universe)
     if n > bound:
         raise BoundError(f"universe size {n} exceeds ket-table bound {bound}", size=n)
     masks = _paper_masks(n) if paper_order else range(1 << n)
@@ -301,9 +297,8 @@ class LinearMap:
     columns: tuple[int, ...]
 
     def __post_init__(self):
+        require_same_universe(self.domain, self.codomain)
         n = len(self.domain.universe)
-        if self.domain.universe != self.codomain.universe:
-            raise CompatibilityError("domain and codomain universes differ")
         if len(self.columns) != n:
             raise BasisError(f"map needs {n} columns, got {len(self.columns)}")
         for col in self.columns:
@@ -337,6 +332,7 @@ def permutation_map(basis: Basis, mapping: dict[str, str]) -> LinearMap:
 
 def apply_map(m: LinearMap, s: SetKet) -> SetKet:
     """Matrix-vector product over GF(2)."""
+    require_same_universe(m.domain, s)
     if s.basis != m.domain:
         raise BasisError("ket is not expressed in the map's domain basis")
     return SetKet._of(m.codomain, _combine(m.columns, s.mask))

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .errors import BoundError, CompatibilityError, GroupError, QmSetsError
 from .gf2 import SetKet
-from .universe import SetPartition, Universe
+from .universe import SetPartition, Universe, _at_bits, require_same_universe
 
 DEFAULT_CLOSURE_BOUND = 10080
 
@@ -68,8 +68,7 @@ class Permutation:
 
     def compose(self, then: "Permutation") -> "Permutation":
         """Apply self first, then the other permutation."""
-        if self.universe != then.universe:
-            raise CompatibilityError("permutations on different universes")
+        require_same_universe(self, then)
         return Permutation._unchecked(self.universe, tuple(then.targets[i] for i in self.targets))
 
     def inverse(self) -> "Permutation":
@@ -194,8 +193,7 @@ def orbit_partition(g: TransformationGroup) -> SetPartition:
 
 def is_invariant(g: TransformationGroup, s: SetKet) -> bool:
     """True iff every group element maps the subset into itself."""
-    if g.universe != s.universe:
-        raise CompatibilityError("group and state on different universes")
+    require_same_universe(g, s)
     bits = s._bits()
-    members = [i for i in range(bits.bit_length()) if bits >> i & 1]
+    members = _at_bits(range(len(g.universe)), bits)
     return all(bits >> t.targets[i] & 1 for t in g.elements for i in members)

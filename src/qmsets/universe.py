@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundError, CompatibilityError, QmSetsError
 
@@ -72,13 +72,23 @@ class Universe:
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        """The labels whose bits are set in the mask, in universe order."""
-        labels = []
-        while mask:
-            low = mask & -mask
-            labels.append(self.elements[low.bit_length() - 1])
-            mask ^= low
-        return tuple(labels)
+        """The labels whose bits are set in the mask, in universe order; a mask
+        with a bit outside the universe, or a negative one, is rejected."""
+        return tuple(_at_bits(self.elements, mask))
+
+
+def _at_bits(items: Sequence, mask: int) -> list:
+    """The items at the set bits of mask, lowest bit first, for sequences of
+    |U| items.  A plain loop: a generator is about twice as slow here."""
+    out, rest = [], mask
+    try:
+        while rest:
+            low = rest & -rest
+            out.append(items[low.bit_length() - 1])
+            rest ^= low
+    except IndexError:  # a bit past the last item, which a negative mask reaches too
+        raise QmSetsError(f"mask {mask} has bits outside the universe") from None
+    return out
 
 
 def braced(names: Iterable[str]) -> str:

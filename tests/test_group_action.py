@@ -181,7 +181,8 @@ class TestLabelsOutsideTheUniverse:
 class TestInvariantAcrossUniverses:
     def test_group_and_state_on_different_universes_raise(self, u3):
         g = generate_group([perm(u3, "ab")])
-        with pytest.raises(CompatibilityError, match="^group and state on different universes$"):
+        message = "^operands are defined on different universes and are not compatible$"
+        with pytest.raises(CompatibilityError, match=message):
             is_invariant(g, standard_ket(Universe.of("ab"), "ab"))
 
 

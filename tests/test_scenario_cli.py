@@ -365,16 +365,19 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "distribution" in err
 
-    @pytest.mark.parametrize("command", ["measure f S", "pythagoras f S", "cascade f g from S"])
+    @pytest.mark.parametrize("command", ["measure f S", "pythagoras f S", "cascade f g from S",
+                                         "ket-table U B", "join f Q", "evolve M S"])
     def test_cross_universe_operands(self, tmp_path, capsys, command):
         bad = tmp_path / "cross.qms"
         bad.write_text(
             "seed 1\nuniverse U = a b c\nuniverse V = a b\n"
             "attribute f on U = a:1 b:1 c:2\nattribute g on U = a:x b:y c:y\n"
-            f"state S on V = {{a,b}}\n{command}\n"
+            "state S on V = {a,b}\nbasis B on V = x:{a} y:{a,b}\n"
+            f"partition Q on V = {{a}}|{{b}}\nmap M on U = {{b}} {{a}} {{c}}\n{command}\n"
         )
         assert main([str(bad)]) == 3
-        assert "line 7" in capsys.readouterr().err
+        message = "operands are defined on different universes and are not compatible"
+        assert capsys.readouterr() == ("", f"qmsets: line 10: {command.split()[0]}: {message}\n")
 
     def test_duplicate_destination_rejected(self, tmp_path, capsys):
         bad = tmp_path / "dup.qms"

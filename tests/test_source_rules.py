@@ -67,6 +67,28 @@ def test_only_generate_group_marks_a_group_closed():
     assert any(inside for _, _, inside in setters), "generate_group no longer sets _closed"
 
 
+def test_only_require_same_universe_raises_compatibility_error():
+    """Every op that compares two operands' universes calls
+    require_same_universe, so each raises its one message.  join_attributes
+    names both attributes, and generate_group compares its generators with a
+    universe, so they keep their own."""
+    raisers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        raises = {
+            id(node): None for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "CompatibilityError"
+        }
+        for fn in ast.walk(tree):  # breadth first, so an inner function names last
+            if isinstance(fn, ast.FunctionDef):
+                raises.update({id(node): fn.name for node in ast.walk(fn) if id(node) in raises})
+        raisers |= {(path.name, name) for name in raises.values()}
+    assert raisers == {("universe.py", "require_same_universe"),
+                       ("attributes.py", "join_attributes"),
+                       ("group_action.py", "generate_group")}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_library_kets_skip_standard_ket(path):
     """standard_ket checks each label and builds a fresh standard basis; the
