@@ -26,6 +26,8 @@ from .gf2 import (
 )
 from .universe import SetPartition, _at_bits, join as partition_join, require_same_universe
 
+_CERTAIN = Fraction(1)
+
 
 def _standard_bits(s: SetKet) -> int:
     """A standard-basis ket's subset as a bitmask: its coordinates (vector i is element i)."""
@@ -170,7 +172,7 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
     A state expressed in a non-standard basis is first re-expressed in the
     attribute's home basis (the standard basis of its universe).  A state
     inside one preimage f^-1(r) is an eigenstate: r is certain and the
-    collapse is the state, on _standard_basis_of(s).
+    collapse is the state, itself when already on _standard_basis_of(s).
     """
     require_same_universe(f, s)
     bits = s._bits()
@@ -180,8 +182,8 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
         s = SetKet._of(standard_basis(f.universe), bits)
     hits = [(r, inter) for r, m in f._spectrum.items() if (inter := m & bits)]
     if len(hits) == 1:  # the preimages cover U, so S lies inside this one
-        collapsed = SetKet._of(_standard_basis_of(s), bits)
-        return OutcomeDistribution._of(s, (Outcome._of(hits[0][0], Fraction(1), collapsed),))
+        collapsed = s if (home := _standard_basis_of(s)) is s.basis else SetKet._of(home, bits)
+        return OutcomeDistribution._of(s, (Outcome._of(hits[0][0], _CERTAIN, collapsed),))
     size = bits.bit_count()
     return OutcomeDistribution._of(s, tuple(
         Outcome._of(r, Fraction(inter.bit_count(), size),
@@ -284,6 +286,7 @@ def pythagoras_check(p: SetPartition, s: SetKet) -> tuple[int, int]:
 
 def evolve(m: LinearMap, s: SetKet) -> SetKet:
     """Distinction-preserving evolution: apply a non-singular map."""
+    require_same_universe(m.domain, s)
     if not is_nonsingular(m):
         raise QmSetsError(
             "singular map: not a distinction-preserving process"
@@ -295,6 +298,8 @@ def csca_measure(
     fs: Sequence[Attribute], s: SetKet, seed: int
 ) -> MeasurementRecord:
     """Sampled non-degenerate measurement: thread collapses through a CSCA."""
+    if fs:
+        require_same_universe(fs[0], s)
     if not is_csca(fs):
         raise QmSetsError("attribute set is not a CSCA; measurement is degenerate")
     steps = []
@@ -314,9 +319,10 @@ def csca_final_distribution(
 ) -> dict[frozenset[str], Fraction]:
     """Exact distribution over final singleton states of a CSCA cascade: each
     path's probabilities telescope to 1/|S|, so it is {u} -> 1/|S| on S."""
+    if fs:
+        require_same_universe(fs[0], s)
     if not is_csca(fs):
         raise QmSetsError("attribute set is not a CSCA")
-    require_same_universe(fs[0], s)
     bits = s._bits()
     if not bits:
         raise EmptyStateError("cannot measure the empty state")

@@ -81,8 +81,8 @@ class Basis:
     as their masks (bit i = element i); `vectors` is the label view.
 
     The constructor checks, in this order: |U| vectors, their labels, one
-    distinct name per vector, and full GF(2) rank (which single-bit vectors,
-    the standard basis, have without an elimination).
+    distinct name per vector, and full GF(2) rank.  It sets `is_standard`:
+    the masks are the single bits in order, whose rank needs no elimination.
     """
 
     universe: Universe
@@ -100,21 +100,19 @@ class Basis:
         positions = {v: j for j, v in enumerate(vector_names)}
         if len(positions) != n or len(vector_names) != n:
             raise BasisError(f"basis {name!r} needs {n} distinct vector names")
-        if masks != _single_bits(n) and (i := _echelon(masks)[1]) is not None:
+        standard = masks == _single_bits(n)
+        if not standard and (i := _echelon(masks)[1]) is not None:
             raise BasisError(f"basis {name!r} is rank-deficient: vector {i} = "
                              f"{braced(universe.labels_of(masks[i]))} "
                              "is a GF(2) combination of earlier vectors")
         values = (universe, name, vector_names, masks, positions)
         for key, value in zip(self.__match_args__, values):
             object.__setattr__(self, key, value)
+        object.__setattr__(self, "is_standard", standard)
 
     @property
     def vectors(self) -> tuple[frozenset[str], ...]:
         return tuple(frozenset(self.universe.labels_of(m)) for m in self.masks)
-
-    @property
-    def is_standard(self) -> bool:
-        return self.masks == _single_bits(len(self.universe))
 
     def names_of(self, mask: int) -> tuple[str, ...]:
         """The names of the vectors set in a coordinate mask, in basis order."""
@@ -187,8 +185,8 @@ class SetKet:
         return frozenset(self.basis.names_of(self.mask))
 
     def _bits(self) -> int:
-        """The standard-basis subset of U as a bitmask (XOR of basis vectors)."""
-        return _combine(self.basis.masks, self.mask)
+        """The standard-basis subset of U as a bitmask: the mask, or the XOR of basis vectors."""
+        return self.mask if self.basis.is_standard else _combine(self.basis.masks, self.mask)
 
     def to_subset(self) -> frozenset[str]:
         """Expand to the standard-basis subset of U (XOR of basis vectors)."""

@@ -886,6 +886,30 @@ class TestMaskBases:
         elif b1 is not None and b2 is not None:
             assert b1 != b2
 
+    @LAWS
+    @given(st.data())
+    def test_is_standard_and_bits_on_every_basis(self, data):
+        """is_standard holds exactly when the masks are the single bits in
+        order, and a ket's _bits label the symmetric difference of its vectors:
+        on the raw and checked constructors, standard_basis under any name and
+        the generated bases."""
+        u = data.draw(universes)
+        name, names, vectors = data.draw(raw_basis_args(u))
+        built = [
+            _built(Basis, u, name, names, vectors),
+            _built(check_basis, u, vectors, name, names),
+            _built(check_basis, u, vectors, name),
+            Basis(u, name, names, [(x,) for x in u]),
+            standard_basis(u, data.draw(st.text(max_size=3))),
+            data.draw(bases(u, "V")),
+        ]
+        single_bits = tuple(1 << i for i in range(len(u)))
+        for b in filter(None, built):
+            assert b.is_standard == (b.masks == single_bits)
+            for m in range(1 << len(u)):
+                ket = SetKet(b, b.names_of(m))
+                assert frozenset(u.labels_of(ket._bits())) == ref_form(ket)
+
 
 @st.composite
 def universe_and_attributes(draw):
@@ -1142,6 +1166,24 @@ class TestAnswersThatAreOperands:
         assert o.collapsed.basis.name == "U"
 
     @LAWS
+    @given(st.data())
+    def test_a_certain_measurement_collapses_onto_the_state_itself(self, data):
+        """On standard_basis(U) the collapse is the state object, with
+        probability 1; on a standard basis named "V" it is the state's
+        standard form on "U", a new ket."""
+        u = data.draw(universes)
+        f = data.draw(attributes(u))
+        r = data.draw(st.sampled_from(f.attained_values()))
+        subset = data.draw(st.frozensets(st.sampled_from(sorted(f.preimage(r))), min_size=1))
+        s = standard_ket(u, subset)
+        (o,) = measure_distribution(f, s).outcomes
+        assert (o.value, o.probability) == (r, 1) and o.collapsed is s
+        on_v = SetKet(standard_basis(u, "V"), subset)
+        (o,) = measure_distribution(f, on_v).outcomes
+        assert (o.value, o.probability, o.collapsed) == (r, 1, s)
+        assert o.collapsed is not on_v
+
+    @LAWS
     @given(universe_and(2))
     def test_join_and_meet_of_comparable_partitions_are_operands(self, upq):
         u, p, q = upq
@@ -1210,12 +1252,20 @@ TWO_OPERAND_OPS = {
                                         identity_map(a["basis"]).columns),
     "apply_map": lambda a, b: apply_map(identity_map(a["basis"]), b["ket"]),
     "evolve": lambda a, b: evolve(identity_map(a["basis"]), b["ket"]),
+    "evolve with a singular map": lambda a, b: evolve(
+        LinearMap(a["basis"], a["basis"], (0,) * len(a["universe"])), b["ket"]),
     "measure_distribution": lambda a, b: measure_distribution(a["attribute"], b["ket"]),
     "measure_sample": lambda a, b: measure_sample(a["attribute"], b["ket"], 1),
     "measurement_join": lambda a, b: measurement_join(a["attribute"], b["ket"]),
     "pythagoras_check": lambda a, b: pythagoras_check(a["partition"], b["ket"]),
     "csca_measure": lambda a, b: csca_measure(a["csca"], b["ket"], 1),
     "csca_final_distribution": lambda a, b: csca_final_distribution(a["csca"], b["ket"]),
+    # A constant attribute is not a CSCA on two or more elements, and one of
+    # the two universes always has that many.
+    "csca_measure on a non-CSCA": lambda a, b: csca_measure(
+        [Attribute("k", a["universe"], ("0",) * len(a["universe"]))], b["ket"], 1),
+    "csca_final_distribution on a non-CSCA": lambda a, b: csca_final_distribution(
+        [Attribute("k", a["universe"], ("0",) * len(a["universe"]))], b["ket"]),
     "compose": lambda a, b: a["permutation"].compose(b["permutation"]),
     "is_invariant": lambda a, b: is_invariant(generate_group([a["permutation"]]), b["ket"]),
     "join_attributes": lambda a, b: join_attributes([a["attribute"], b["attribute"]]),

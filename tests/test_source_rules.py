@@ -102,6 +102,27 @@ def test_library_kets_skip_standard_ket(path):
     assert not lines, f"{path.name} calls standard_ket( at lines {lines}"
 
 
+def test_only_the_basis_constructor_compares_with_the_single_bits():
+    """Basis.__init__ decides is_standard once, where the basis is built;
+    every reader reads that attribute and compares no masks again."""
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {
+            id(node) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "Basis" and path.name == "gf2.py"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for node in ast.walk(fn)
+        }
+        calls += [
+            (path.name, node.lineno, id(node) in inside) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_single_bits"
+        ]
+    outside = [(name, line) for name, line, ok in calls if not ok]
+    assert not outside, f"_single_bits( is called outside Basis.__init__ at {outside}"
+    assert any(ok for _, _, ok in calls), "Basis.__init__ no longer calls _single_bits("
+
+
 def test_only_parse_scenario_numbers_parse_errors():
     """parse_scenario gives every parse error its line, in one handler around
     each statement; the readers it calls know no line, so none can forget it."""
