@@ -1,8 +1,10 @@
 """Attributes f: U -> R, inverse-image partitions, joins, and CSCA checks.
 
-Value labels are opaque tokens with a total order; tokens that parse as
-numbers compare numerically, everything else compares as strings after the
-numeric tokens.  Numerically equal tokens, such as ``1``, ``1.0`` and
+Value labels are opaque tokens, in one order on every supported Python:
+numbers first, compared exactly, then the rest as text.  A number is what
+Python 3.11's ``Fraction()`` reads: an optional sign, digits grouped by
+single underscores, an optional fraction and exponent; or a ratio of two
+such integers.  Numerically equal tokens, such as ``1``, ``1.0`` and
 ``01``, are distinct values ordered by their text.
 """
 
@@ -20,25 +22,21 @@ from .gf2 import SetKet, standard_basis
 from .universe import SetPartition, Universe, _at_bits
 
 
-# A mantissa and a decimal exponent, such as "-2.5" and "7" in "-2.5e7".
-_EXPONENT = re.compile(r"(.*)[eE]([-+]?\d[\d_]*\s*)")
+# The docstring's numbers, D standing for digits grouped by single underscores;
+# whitespace may surround the token but not "/".
+_NUMBER = re.compile(r"\s*[-+]?(?:(?P<ratio>D/D)|(?:D(?:\.(?:D)?)?|\.D)(?:[eE][-+]?D)?)\s*"
+                     .replace("D", r"\d(?:_?\d)*"))
 
 
 def value_sort_key(token: str):
-    """Numeric tokens first, compared numerically, then by text; then the
-    rest, lexicographic."""
-    try:
-        if token.isdecimal():  # int() gives the value Fraction() would, faster
-            return (0, int(token), token)
-        if parts := _EXPONENT.fullmatch(token):
-            # Fraction(token) would build 10**exponent.  Fraction() reads each
-            # part as it would in the token, or raises ValueError; a Decimal
-            # keeps the exponent and compares exactly with ints and Fractions.
-            Fraction(parts[1] + "e0"), Fraction(parts[2])
-            return (0, Decimal(token), token)
-        return (0, Fraction(token), token)
-    except (ValueError, ArithmeticError):  # ZeroDivisionError; an exponent past Decimal's ±10**18
-        return (1, Fraction(0), token)
+    """Numbers first, compared exactly, then by text; then the rest, by text."""
+    if number := _NUMBER.fullmatch(token):
+        read = Fraction if number["ratio"] else Decimal  # a Decimal builds no 10**exponent
+        try:
+            return (0, read(token.replace("_", "")), token)
+        except ArithmeticError:  # a zero denominator; an exponent past ±10**18
+            pass
+    return (1, Fraction(0), token)
 
 
 @dataclass(frozen=True)
@@ -52,6 +50,8 @@ class Attribute:
     _spectrum: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.values) is not tuple:
+            raise QmSetsError(f"attribute {self.name!r} values must be a tuple")
         if len(self.values) != len(self.universe):
             raise QmSetsError(
                 f"attribute {self.name!r} must assign a value to every element"

@@ -30,10 +30,6 @@ from .universe import DEFAULT_ENUMERATION_BOUND, Universe, braced, enumerate_par
 FORMATS = ("text", "csv", "json")
 
 
-def _fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def _decimal_str(q: Fraction) -> str:
     return f"{float(q):.6f}"
 
@@ -142,7 +138,7 @@ class _Runner:
             cmd, title,
             lambda: [
                 ["value"] + [o.value for o in dist.outcomes],
-                ["probability"] + [_fraction_str(o.probability) for o in dist.outcomes],
+                ["probability"] + [str(o.probability) for o in dist.outcomes],
                 ["decimal"] + [_decimal_str(o.probability) for o in dist.outcomes],
                 ["collapsed"] + [str(o.collapsed) for o in dist.outcomes],
             ],
@@ -150,7 +146,7 @@ class _Runner:
                 "command": cmd.kind,
                 **names,
                 "outcomes": [
-                    {"value": o.value, "probability": _fraction_str(o.probability),
+                    {"value": o.value, "probability": str(o.probability),
                      "collapsed": sorted(o.collapsed.to_subset())}
                     for o in dist.outcomes
                 ],
@@ -177,9 +173,9 @@ class _Runner:
         h = up.logical_entropy(part)
         self.line(
             cmd,
-            lambda: f"entropy {cmd.args[0]} = {_fraction_str(h)} ({_decimal_str(h)})",
+            lambda: f"entropy {cmd.args[0]} = {h} ({_decimal_str(h)})",
             lambda: {"command": "entropy", "name": cmd.args[0],
-                     "entropy": _fraction_str(h), "partition": str(part)},
+                     "entropy": str(h), "partition": str(part)},
         )
 
     def _cmd_join(self, cmd: Command) -> None:
@@ -220,17 +216,17 @@ class _Runner:
                 [f"cascade {' '.join(attr_names)} from {state_name} (seed {self.seed})"]
                 + [f"step {i}: {step.attribute} -> {step.value}  "
                    f"pre={step.pre_state} post={step.post_state} "
-                   f"p={_fraction_str(step.probability)}"
+                   f"p={step.probability}"
                    for i, step in enumerate(record.steps)]
                 + [f"final = {record.final_state} tuple=({','.join(record.value_tuple)}) "
-                   f"p={_fraction_str(record.path_probability)}"]
+                   f"p={record.path_probability}"]
             ),
             lambda: {"command": "cascade", "attributes": attr_names, "state": state_name,
                      "seed": self.seed,
                      "steps": [
                          {"attribute": s.attribute, "value": s.value,
                           "pre": str(s.pre_state), "post": str(s.post_state),
-                          "probability": _fraction_str(s.probability)}
+                          "probability": str(s.probability)}
                          for s in record.steps
                      ],
                      "final": str(record.final_state)},

@@ -80,9 +80,10 @@ class Basis:
     """An ordered list of |U| GF(2)-independent subsets of the universe, held
     as their masks (bit i = element i); `vectors` is the label view.
 
-    The constructor checks, in this order: |U| vectors, their labels, one
-    distinct name per vector, and full GF(2) rank.  It sets `is_standard`:
-    the masks are the single bits in order, whose rank needs no elimination.
+    The constructor checks, in order: a tuple of names, |U| vectors, their
+    labels, one distinct name per vector, full GF(2) rank.  It sets
+    `is_standard`: the masks are the single bits in order, whose rank needs
+    no elimination.
     """
 
     universe: Universe
@@ -93,6 +94,8 @@ class Basis:
 
     def __init__(self, universe: Universe, name: str, vector_names: tuple[str, ...],
                  vectors: Sequence[Iterable[str]]):
+        if type(vector_names) is not tuple:
+            raise BasisError(f"basis {name!r} vector names must be a tuple")
         n = len(universe)
         if len(vectors) != n:
             raise BasisError(f"basis {name!r} needs exactly {n} vectors, got {len(vectors)}")
@@ -295,6 +298,8 @@ class LinearMap:
     columns: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.columns) is not tuple:
+            raise BasisError("map columns must be a tuple")
         require_same_universe(self.domain, self.codomain)
         n = len(self.domain.universe)
         if len(self.columns) != n:

@@ -29,8 +29,9 @@ path at most once, as ``os.path.realpath`` resolves it: ``out.txt`` and
 out of scope); a path holds no NUL.  Every referenced name must be declared
 on an earlier line, and names are unique per kind.  A name appears at most
 once in a brace set, a partition block included, and a ``key:value`` entry
-needs both parts.  Attribute values sort numbers first, by value (an exponent
-such as ``1e100000000`` is compared without building its power), then text.
+needs both parts.  Attribute values sort numbers first, by value, then text,
+in one order on every supported Python: a number is what Python 3.11's
+``Fraction()`` reads, such as ``1_0``, ``1e1`` or ``3/2``; ``1__0`` is text.
 A universe label or basis vector name holds none of ``{ } , | ( ) :``.
 A group's cycles name only labels of its universe, each at most once per
 generator, within a cycle or across its cycles.

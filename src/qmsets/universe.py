@@ -34,6 +34,8 @@ class Universe:
     positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.elements) is not tuple:
+            raise QmSetsError("universe elements must be a tuple")
         if len(self.elements) < 1:
             raise QmSetsError("universe must have at least one element")
         positions = {u: i for i, u in enumerate(self.elements)}

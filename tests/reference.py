@@ -10,6 +10,7 @@ few elements.
 """
 
 import hashlib
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -77,10 +78,25 @@ def born(state, labels):
     return [(u, Fraction(1, len(state)), frozenset([u])) for u in labels if u in state]
 
 
+# A number as Python 3.11's Fraction() reads it: an optional sign, then a
+# ratio of integers or a decimal with an optional exponent, digits grouped by
+# single underscores, whitespace around.
+NUMBER = re.compile(r"""\s* [-+]?
+    ( \d+(_\d+)* / \d+(_\d+)*
+    | ( \d+(_\d+)* (\. (\d+(_\d+)*)? )? | \. \d+(_\d+)* ) ([eE] [-+]? \d+(_\d+)*)?
+    ) \s*""", re.VERBOSE)
+
+
 def value_order(value):
-    """The order of attribute values: digit strings first, as numbers, then
-    the rest as text."""
-    return (0, int(value), "") if value.isdigit() else (1, 0, value)
+    """The order of attribute values: numbers first, by value and then by
+    text, then the rest, by text.  A ratio with a zero denominator is text.
+    Each number is built as a Fraction, so its exponent must be small."""
+    if NUMBER.fullmatch(value):
+        try:
+            return (0, Fraction(value.replace("_", "")), value)
+        except ZeroDivisionError:
+            pass
+    return (1, 0, value)
 
 
 def measure(f, state):

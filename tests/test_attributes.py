@@ -22,6 +22,8 @@ from qmsets import (
 )
 from qmsets.attributes import value_sort_key
 
+import reference as ref
+
 
 @pytest.fixture
 def f(u3):
@@ -174,15 +176,38 @@ class TestValueOrder:
         st.sampled_from(["", "/3", "/1_0", "e0", "E2", "e-3", "e+1", "e1_0", "e-20"]),
     ), min_size=1, max_size=8))
     def test_numeric_tokens_sort_as_fractions(self, parts):
-        def exact(token):  # Fraction() builds each power here, the exponents being small
-            try:
-                return (0, Fraction(token), token)
-            except ValueError:  # an underscore, before Python 3.11
-                return (1, Fraction(0), token)
-
         tokens = {"".join(p) for p in parts if not ("." in p[1] and "/" in p[2])}
-        assert sorted(tokens, key=value_sort_key) == sorted(tokens, key=exact)
+        assert sorted(tokens, key=value_sort_key) == sorted(tokens, key=ref.value_order)
 
     @pytest.mark.parametrize("token", ["1e", "e5", "1/2e3", "1e5e5", "1e_5", "1e5_", "nan"])
     def test_malformed_exponent_tokens_are_text(self, token):
         assert value_sort_key(token) == (1, Fraction(0), token)
+
+    # Python 3.10's Fraction() reads no underscore, and 3.12's reads spaces
+    # around "/"; the grammar is 3.11's on every Python.
+    @pytest.mark.parametrize("token, value", [
+        ("1_0", 10), ("-1_0.2_5e1_0", Fraction("-10.25e10")), ("+1_0/4", Fraction(5, 2)),
+        (" 1/2\t", Fraction(1, 2)), ("\u0661\u0662", 12), ("1.", 1), (".5E1", 5),
+    ])
+    def test_numbers_of_the_grammar(self, token, value):
+        assert value_sort_key(token) == (0, value, token)
+
+    @pytest.mark.parametrize("token", [
+        "1__0", "_1", "1_", "1_.5", "1 /2", "1/ 2", "1/0", "\u00b2", "inf",
+        "1e9999999999999999999999",
+    ])
+    def test_other_tokens_are_text(self, token):
+        assert value_sort_key(token) == (1, Fraction(0), token)
+
+
+class TestRawAttributeChecks:
+    def test_values_must_be_a_tuple(self, u3):
+        # A list could change after the preimages are built from it.
+        with pytest.raises(QmSetsError) as exc:
+            Attribute("g", u3, ["1", "2"])
+        assert str(exc.value) == "attribute 'g' values must be a tuple"
+
+    def test_one_value_per_element(self, u3):
+        with pytest.raises(QmSetsError) as exc:
+            Attribute("g", u3, ("1", "2"))
+        assert str(exc.value) == "attribute 'g' must assign a value to every element"

@@ -444,6 +444,16 @@ class TestOutcomeDistributionChecks:
         with pytest.raises(CompatibilityError):
             OutcomeDistribution(standard_ket(u3, "ab"), (Outcome("1", Fraction(1), elsewhere),))
 
+    def test_outcomes_must_be_a_tuple(self, u3):
+        # A list could grow after its probabilities were summed.
+        with pytest.raises(QmSetsError) as exc:
+            OutcomeDistribution(standard_ket(u3, "ab"), [])
+        assert str(exc.value) == "distribution outcomes must be a tuple"
+
+    def test_a_value_without_an_outcome_has_probability_zero(self, u3):
+        dist = _distribution(u3, "abc", [("1", "2/3", "ab"), ("2", "1/3", "c")])
+        assert dist.probability_of("3") == 0
+
 
 class TestLibraryDistributions:
     """Distributions the library builds are frozen values, like public ones."""

@@ -21,7 +21,7 @@ from qmsets import (
     standard_ket,
     to_basis,
 )
-from qmsets.gf2 import bits_to_subset
+from qmsets.gf2 import bits_to_subset, gf2_solve
 
 
 @pytest.fixture
@@ -268,3 +268,48 @@ class TestKetTableRawBasis:
         assert str(exc.value) == (
             "basis 'B' is rank-deficient: vector 2 = {a,b} "
             "is a GF(2) combination of earlier vectors")
+
+
+class TestSolve:
+    def test_singular_system(self):
+        with pytest.raises(BasisError) as exc:
+            gf2_solve((0b011, 0b011, 0b100), 0b100)
+        assert str(exc.value) == "singular system: columns are GF(2)-dependent"
+
+    def test_target_outside_the_span(self):
+        with pytest.raises(BasisError) as exc:
+            gf2_solve((0b001, 0b010), 0b100)
+        assert str(exc.value) == "inconsistent system: target is not in the column span"
+
+
+class TestRawFieldChecks:
+    """Each public constructor rejects a list, which could change after it
+    was checked, with its own error, before any other check."""
+
+    def test_basis_vector_names_must_be_a_tuple(self, u3):
+        with pytest.raises(BasisError) as exc:
+            Basis(u3, "B", ["x", "y"], [{"a"}, {"b"}])
+        assert str(exc.value) == "basis 'B' vector names must be a tuple"
+
+    def test_map_columns_must_be_a_tuple(self, u3, u_basis):
+        with pytest.raises(BasisError) as exc:
+            LinearMap(u_basis, standard_basis(Universe.of("xyz")), [1, 2])
+        assert str(exc.value) == "map columns must be a tuple"
+
+
+class TestMapAndTableErrors:
+    def test_ket_table_needs_a_basis(self):
+        with pytest.raises(BasisError) as exc:
+            ket_table([])
+        assert str(exc.value) == "ket_table needs at least one basis"
+
+    @pytest.mark.parametrize("column", [0b1000, -1])
+    def test_column_out_of_range(self, u_basis, column):
+        with pytest.raises(BasisError) as exc:
+            LinearMap(u_basis, u_basis, (0b001, 0b010, column))
+        assert str(exc.value) == "column bits out of range"
+
+    def test_ket_on_another_basis_of_the_universe(self, u3, u_basis, u_prime):
+        with pytest.raises(BasisError) as exc:
+            apply_map(identity_map(u_basis), SetKet(u_prime, {u_prime.vector_names[0]}))
+        assert str(exc.value) == "ket is not expressed in the map's domain basis"

@@ -21,6 +21,7 @@ SCENARIOS = [
     ROOT / "scenarios" / "paper_table.qms",
     GOLDEN / "wide_bases.qms",
     GOLDEN / "kets_in_bases.qms",
+    GOLDEN / "value_order.qms",
 ]
 
 

@@ -193,3 +193,15 @@ class TestImageInput:
         t, want = Permutation(u3, kind(images)), perm(u3, *cycles)
         assert t == want and hash(t) == hash(want)
         assert t.images == tuple(images)
+
+
+class TestCycleAndGeneratorErrors:
+    def test_label_repeated_across_cycles(self, u3):
+        with pytest.raises(QmSetsError) as exc:
+            perm(u3, "ab", "bc")
+        assert str(exc.value) == "label 'b' repeated across cycles"
+
+    def test_no_generators_and_no_universe(self):
+        with pytest.raises(QmSetsError) as exc:
+            generate_group([])
+        assert str(exc.value) == "generate_group needs a universe when generators are empty"

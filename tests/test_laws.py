@@ -613,6 +613,37 @@ class TestDraws:
         assert drawn.pre_state.to_subset() == subset
 
 
+# Spellings of one number, underscores, exponents, ratios, and tokens
+# outside the number grammar, such as "1__0", "1 /2" and "1/0", which are text.
+VALUE_FORMS = ["1", "01", "1.0", "1_0", "10", "1e1", "10/1", "1/2", ".5", "5e-1", "-2.5e-1",
+               "1__0", "1 /2", "1/0", "\u00b2", "x", "nan"]
+# A discrete attribute in numerically equal spellings: only their text orders them.
+ONES = ("1", "01", "+1", "1.0", "1e0", "1/1")
+
+
+class TestValueForms:
+    @LAWS
+    @given(universes, st.data())
+    def test_measure_sample_and_cascade_follow_the_reference_value_order(self, u, data):
+        forms = st.lists(st.sampled_from(VALUE_FORMS), min_size=len(u), max_size=len(u))
+        count = data.draw(st.integers(1, 3))
+        fs = [Attribute(f"f{i}", u, tuple(data.draw(forms))) for i in range(count)]
+        if not is_csca(fs):
+            fs.append(Attribute("ones", u, ONES[:len(u)]))
+        subset = data.draw(nonempty_subsets(u))
+        s, seed = standard_ket(u, subset), data.draw(st.integers(0, 2**40))
+        for step, f in enumerate(fs):
+            outcomes = measure_distribution(f, s).outcomes
+            assert [(o.value, o.probability, o.collapsed.to_subset()) for o in outcomes] == (
+                ref.measure(ref_form(f), subset))
+            drawn = measure_sample(f, s, seed, step=step)
+            assert (drawn.value, drawn.probability, drawn.post_state.to_subset()) == ref.sample(
+                ref_form(f), subset, seed, step)
+        assert [(d.value, d.probability, d.post_state.to_subset())
+                for d in csca_measure(fs, s, seed).steps] == ref.cascade(
+                    [ref_form(f) for f in fs], subset, seed)
+
+
 @st.composite
 def scenario_files(draw):
     """A scenario text using every declaration kind, with `to` paths in {out}."""

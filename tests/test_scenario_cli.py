@@ -317,6 +317,23 @@ class TestMainExitCodes:
         assert main([str(SCENARIO_DIR / "measurement.qms")]) == 0
         assert "measure f S" in capsys.readouterr().out
 
+    def test_usage_error_missing_argument(self, capsys):
+        assert main([]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: qmsets")
+        assert [line for line in captured.err.splitlines() if line.startswith("qmsets:")] == [
+            "qmsets: error: the following arguments are required: scenario"]
+
+    def test_unwritable_destination_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.qms").write_text(
+            "universe U = a b\npartition P on U = {a}|{b}\nentropy P to missing/h.txt\n")
+        assert main(["s.qms"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qmsets: [Errno 2] No such file or directory: 'missing/h.txt'\n"
+
     def test_usage_error_missing_file(self, capsys):
         assert main(["/nonexistent/path.qms"]) == 1
         assert "qmsets:" in capsys.readouterr().err

@@ -214,3 +214,16 @@ class TestMeet:
                 for r in parts:
                     if refines(p, r) and refines(q, r):
                         assert refines(m, r)
+
+
+class TestRawUniverseChecks:
+    def test_elements_must_be_a_tuple(self):
+        # A list could change after the label positions are built from it.
+        with pytest.raises(QmSetsError) as exc:
+            Universe([])
+        assert str(exc.value) == "universe elements must be a tuple"
+
+    def test_block_of_a_label_outside_the_universe(self, u3):
+        with pytest.raises(QmSetsError) as exc:
+            discrete(u3).block_of("z")
+        assert str(exc.value) == "label 'z' not in any block"
