@@ -1,7 +1,8 @@
 """Attributes f: U -> R, inverse-image partitions, joins, and CSCA checks.
 
-Value labels are opaque tokens, in one order on every supported Python:
-numbers first, compared exactly, then the rest as text.  A number is what
+Value labels are opaque tokens, in one order on every supported Python and
+under any decimal context or int/str digit limit the process sets: numbers
+first, compared exactly, then the rest as text.  A number is what
 Python 3.11's ``Fraction()`` reads: an optional sign, digits grouped by
 single underscores, an optional fraction and exponent; or a ratio of two
 such integers.  Numerically equal tokens, such as ``1``, ``1.0`` and
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -26,14 +27,20 @@ from .universe import SetPartition, Universe, _at_bits
 # whitespace may surround the token but not "/".
 _NUMBER = re.compile(r"\s*[-+]?(?:(?P<ratio>D/D)|(?:D(?:\.(?:D)?)?|\.D)(?:[eE][-+]?D)?)\s*"
                      .replace("D", r"\d(?:_?\d)*"))
+# Numbers are read under this context, not the calling thread's, which may
+# not trap an unreadable number and return NaN, a key that orders nothing.
+_CONTEXT = Context(traps=[InvalidOperation])
 
 
 def value_sort_key(token: str):
     """Numbers first, compared exactly, then by text; then the rest, by text."""
     if number := _NUMBER.fullmatch(token):
-        read = Fraction if number["ratio"] else Decimal  # a Decimal builds no 10**exponent
-        try:
-            return (0, read(token.replace("_", "")), token)
+        digits = token.replace("_", "")
+        try:  # a Decimal builds no 10**exponent, and int() would limit a ratio's digits
+            if number["ratio"]:
+                p, q = digits.split("/")
+                return (0, Fraction(Decimal(p, _CONTEXT)) / Fraction(Decimal(q, _CONTEXT)), token)
+            return (0, Decimal(digits, _CONTEXT), token)
         except ArithmeticError:  # a zero denominator; an exponent past ±10**18
             pass
     return (1, Fraction(0), token)

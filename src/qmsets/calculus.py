@@ -1,9 +1,10 @@
 """The probability calculus on Z2^|U|: brackets, Born rule, measurement, evolution.
 
 Probabilities are exact rationals end to end; floating point appears only
-in norm values and display.  Sampling uses a counter-based pseudorandom
-scheme keyed by (seed, step index), so cascades are reproducible and
-independent of evaluation order.
+in norm values and display.  Sampling draws an integer d in [0, 2**64) by a
+counter-based pseudorandom scheme keyed by (seed, step index), so cascades
+are reproducible and independent of evaluation order, and takes the first
+outcome, in value order, whose running count cum has d * |S| < cum * 2**64.
 """
 
 from __future__ import annotations
@@ -194,12 +195,10 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
     ))
 
 
-def _uniform(seed: int, step: int) -> Fraction:
-    """Deterministic uniform draw in [0, 1) keyed by (seed, step)."""
-    digest = hashlib.blake2b(
-        f"{seed}:{step}".encode(), digest_size=8
-    ).digest()
-    return Fraction(int.from_bytes(digest, "big"), 1 << 64)
+def _draw(seed: int, step: int) -> int:
+    """Deterministic uniform draw d in [0, 2**64) keyed by (seed, step)."""
+    digest = hashlib.blake2b(f"{seed}:{step}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 @dataclass(frozen=True)
@@ -209,6 +208,11 @@ class MeasurementStep:
     pre_state: SetKet
     post_state: SetKet
     probability: Fraction
+    # measure_sample's draw d, and the drawn outcome's running counts
+    # [cum_lo, cum_hi): cum_lo * 2**64 <= d * |pre_state| < cum_hi * 2**64.
+    draw: int | None = None
+    cum_lo: int | None = None
+    cum_hi: int | None = None
 
 
 @dataclass(frozen=True)
@@ -237,19 +241,17 @@ class MeasurementRecord:
 def measure_sample(
     f: Attribute, s: SetKet, seed: int, step: int = 0
 ) -> MeasurementStep:
-    """Draw one outcome from measure_distribution; identical seed, identical draw."""
+    """Draw one outcome from measure_distribution: the first, in value order,
+    whose running count cum has d * |S| < cum * 2**64; identical seed, identical draw."""
     dist = measure_distribution(f, s)
-    u = _uniform(seed, step)
-    cumulative = Fraction(0)
-    chosen = dist.outcomes[-1]
-    for outcome in dist.outcomes:
-        cumulative += outcome.probability
-        if u < cumulative:
-            chosen = outcome
+    d, cum = _draw(seed, step), 0
+    scaled = d * dist.state.mask.bit_count()  # state and collapses are on a standard basis
+    for chosen in dist.outcomes:  # the last outcome's cum is |S|, so the loop always breaks
+        lo, cum = cum, cum + chosen.collapsed.mask.bit_count()
+        if scaled < cum << 64:
             break
-    return MeasurementStep(
-        f.name, chosen.value, dist.state, chosen.collapsed, chosen.probability
-    )
+    return MeasurementStep(f.name, chosen.value, dist.state, chosen.collapsed,
+                           chosen.probability, d, lo, cum)
 
 
 def measurement_join_partition(s: SetKet) -> SetPartition:

@@ -37,9 +37,10 @@ A group's cycles name only labels of its universe, each at most once per
 generator, within a cycle or across its cycles.
 An argument that names two of the kinds it may take is a parse error (exit
 2); operands on different universes are a runtime error (exit 3).  A seed is
-required when a sampling command (cascade) appears, and is an error on the
-first such command's line when missing; a second ``seed`` line is an error on
-its own line.  One leading UTF-8 byte-order mark is ignored.
+an integer of at most 100 characters.  It is required when a sampling command
+(cascade) appears, and is an error on the first such command's line when
+missing; a second ``seed`` line is an error on its own line.  One leading
+UTF-8 byte-order mark is ignored.
 """
 
 from __future__ import annotations
@@ -246,6 +247,8 @@ def _seed(sc: Scenario, text: str) -> None:
         raise ScenarioError("seed takes exactly one integer")
     if sc.seed is not None:
         raise ScenarioError("seed given twice")
+    if len(parts[1]) > 100:  # int() limits the digits it reads, and printing the seed too
+        raise ScenarioError(f"seed must be at most 100 characters long, got {len(parts[1])}")
     try:
         sc.seed = int(parts[1])
     except ValueError:

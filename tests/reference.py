@@ -11,6 +11,7 @@ few elements.
 
 import hashlib
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -90,10 +91,12 @@ NUMBER = re.compile(r"""\s* [-+]?
 def value_order(value):
     """The order of attribute values: numbers first, by value and then by
     text, then the rest, by text.  A ratio with a zero denominator is text.
-    Each number is built as a Fraction, so its exponent must be small."""
+    Each number is built as a Fraction, so its exponent must be small; it is
+    read through Decimal, which, unlike int(), sets no limit on its digits."""
     if NUMBER.fullmatch(value):
+        p, _, q = value.replace("_", "").partition("/")
         try:
-            return (0, Fraction(value.replace("_", "")), value)
+            return (0, Fraction(Decimal(p)) / Fraction(Decimal(q or "1")), value)
         except ZeroDivisionError:
             pass
     return (1, 0, value)

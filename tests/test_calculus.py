@@ -247,6 +247,31 @@ class TestSampling:
         )
         assert abs(hits / 20000 - 2 / 3) < 0.02
 
+    @pytest.mark.parametrize("d, value, interval", [
+        (2**63 - 1, "1", (0, 1)),  # u just under 1/2
+        (2**63, "2", (1, 2)),  # u exactly 1/2, not below the first outcome's 1/2
+    ])
+    def test_a_draw_on_a_boundary_takes_the_next_outcome(self, f, u3, monkeypatch, d, value,
+                                                          interval):
+        """d * |S| < cum * 2**64 is strict: on a state split 1|1, d = 2**63
+        puts u = 1/2 on the first outcome's upper end, so the second is drawn."""
+        monkeypatch.setattr("qmsets.calculus._draw", lambda seed, step: d)
+        step = measure_sample(f, standard_ket(u3, ["a", "c"]), seed=0)
+        assert (step.value, step.probability) == (value, Fraction(1, 2))
+        assert (step.draw, step.cum_lo, step.cum_hi) == (d, *interval)
+
+    @pytest.mark.parametrize("d, value, interval", [
+        (0, "1", (0, 1)), (2**64 - 1, "3", (2, 3)),
+    ])
+    def test_the_extreme_draws_take_the_first_and_last_outcomes(self, u3, monkeypatch, d, value,
+                                                                interval):
+        monkeypatch.setattr("qmsets.calculus._draw", lambda seed, step: d)
+        h = Attribute("h", u3, ("1", "2", "3"))
+        step = measure_sample(h, standard_ket(u3, u3.elements), seed=0)
+        assert step.value == value
+        assert step.post_state.to_subset() == frozenset("abc"[int(value) - 1])
+        assert (step.draw, step.cum_lo, step.cum_hi) == (d, *interval)
+
 
 class TestMeasurementJoin:
     def test_example(self, f, u3):

@@ -11,11 +11,13 @@ reference's labels.
 """
 
 import csv
+import decimal
 import io
 import json
 import pickle
+import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cmp_to_key, reduce
@@ -82,7 +84,7 @@ from qmsets import (
 from qmsets import calculus
 from qmsets.attributes import value_sort_key
 from qmsets.calculus import Projection
-from qmsets.cli import main
+from qmsets.cli import FORMATS, main
 
 import reference as ref
 
@@ -612,6 +614,22 @@ class TestDraws:
             ref_form(f), subset, seed, step)
         assert drawn.pre_state.to_subset() == subset
 
+    @settings(max_examples=100, deadline=None)
+    @given(universe_attribute_state(), st.integers(0, 2**40), st.integers(0, 8))
+    def test_a_step_records_its_draw_and_running_counts(self, ufs, seed, step):
+        """A step re-derives by hand: its draw is reference.draw(seed, step),
+        and the drawn outcome's running counts [cum_lo, cum_hi) hold it."""
+        u, f, subset = ufs
+        ones = Attribute("ones", u, tuple(map(str, range(len(u)))))
+        s = standard_ket(u, subset)
+        steps = [(measure_sample(f, s, seed, step=step), step)] + [
+            (drawn, i) for i, drawn in enumerate(csca_measure([f, ones], s, seed).steps)]
+        for drawn, i in steps:
+            d, size = ref.draw(seed, i), len(drawn.pre_state.to_subset())
+            assert drawn.draw == d
+            assert drawn.cum_lo * 2**64 <= d * size < drawn.cum_hi * 2**64
+            assert drawn.cum_hi - drawn.cum_lo == len(drawn.post_state.to_subset())
+
 
 # Spellings of one number, underscores, exponents, ratios, and tokens
 # outside the number grammar, such as "1__0", "1 /2" and "1/0", which are text.
@@ -731,6 +749,96 @@ class TestCLIDeterminism:
             assert head == "pythagoras P S"
             assert (int(left), int(right)) == (record["left"], record["right"])
             assert sum(int(t) for t in terms.split(" + ")) == record["right"]
+
+
+ONES_5000 = "1" * 5000
+# VALUE_FORMS and numbers with more digits than an int/str digit limit allows.
+LONG_FORMS = VALUE_FORMS + [
+    ONES_5000, ONES_5000 + "/3", "3/" + ONES_5000, "-" + "1" * 700 + ".5e-3", "7" * 700 + "/7"]
+# Exponents at and past the decimal range, which tests/reference.py, building
+# each number as a Fraction, does not read.
+HUGE_EXPONENTS = ["1e9999999999999999999999", "9e999999999999999999", "-1e-999999999999999999"]
+SETTINGS = [
+    pytest.param("decimal", decimal.Context(prec=1, Emax=1, Emin=-1, traps=[]),
+                 id="decimal-traps-nothing"),
+    pytest.param("decimal", decimal.Context(traps=list(decimal.Context().traps)),
+                 id="decimal-traps-everything"),
+    pytest.param("digits", 640, id="digits-640"),
+    pytest.param("digits", None, id="digits-default"),
+    pytest.param("digits", 0, id="digits-unlimited"),
+]
+
+
+@contextmanager
+def process_setting(kind, value):
+    """Run the block under a decimal context or an int/str digit limit (None
+    for the interpreter's default), and restore the setting after it."""
+    if kind == "decimal":
+        with decimal.localcontext(value):
+            yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python sets no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits if value is None else value)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("kind, value", SETTINGS)
+class TestProcessWideSettings:
+    """Value order, and so every outcome list and draw, is the same under any
+    decimal context or int/str digit limit the calling process sets."""
+
+    def test_every_token_keeps_its_key(self, kind, value):
+        tokens = LONG_FORMS + HUGE_EXPONENTS
+        keys, order = [value_sort_key(t) for t in tokens], sorted(tokens, key=value_sort_key)
+        with process_setting(kind, value):
+            assert [value_sort_key(t) for t in tokens] == keys
+            assert sorted(tokens, key=value_sort_key) == order
+            assert [ref.value_order(t) for t in LONG_FORMS] == keys[:len(LONG_FORMS)]
+
+    @LAWS
+    @given(universes, st.data())
+    def test_measure_sample_and_cascade_follow_the_reference(self, kind, value, u, data):
+        forms = st.lists(st.sampled_from(LONG_FORMS), min_size=len(u), max_size=len(u))
+        values, subset = data.draw(forms), data.draw(nonempty_subsets(u))
+        s, seed = standard_ket(u, subset), data.draw(st.integers(0, 2**40))
+        with process_setting(kind, value):
+            fs = [Attribute("f", u, tuple(values)), Attribute("ones", u, ONES[:len(u)])]
+            for step, f in enumerate(fs):
+                outcomes = measure_distribution(f, s).outcomes
+                assert [(o.value, o.probability, o.collapsed.to_subset()) for o in outcomes] == (
+                    ref.measure(ref_form(f), subset))
+                drawn = measure_sample(f, s, seed, step=step)
+                assert (drawn.value, drawn.probability, drawn.post_state.to_subset()) == (
+                    ref.sample(ref_form(f), subset, seed, step))
+            assert [(d.value, d.probability, d.post_state.to_subset())
+                    for d in csca_measure(fs, s, seed).steps] == ref.cascade(
+                        [ref_form(f) for f in fs], subset, seed)
+
+    def test_the_value_order_golden_files(self, kind, value, tmp_path):
+        golden = Path(__file__).parent / "golden"
+        path = tmp_path / "value_order.qms"
+        path.write_bytes((golden / "value_order.qms").read_bytes())
+        for fmt in FORMATS:
+            for flags, name in (([], fmt), (["--paper-order"], f"paper.{fmt}")):
+                with process_setting(kind, value):
+                    code, out, err, _ = run_cli(path, "--format", fmt, *flags)
+                want = (golden / f"value_order.{name}").read_text(encoding="utf-8")
+                assert (code, out, err) == (0, want, "")
+
+    def test_a_long_ratio_value_runs_alike(self, kind, value, tmp_path):
+        path = tmp_path / "long.qms"
+        path.write_text(f"seed 3\nuniverse U = a b c d\n"
+                        f"attribute f on U = a:{ONES_5000}/3 b:1 c:x d:1e9999999999999999999999\n"
+                        "state S on U = {a,b,c,d}\nmeasure f S\ncascade f from S\n")
+        runs = [run_cli(path, "--format", fmt) for fmt in FORMATS]
+        assert all(code == 0 and not err for code, _, err, _ in runs)
+        with process_setting(kind, value):
+            assert [run_cli(path, "--format", fmt) for fmt in FORMATS] == runs
 
 
 def assert_public(k, names):
