@@ -24,7 +24,7 @@ from . import calculus, universe as up
 from .errors import BoundError, QmSetsError, ScenarioError
 from .gf2 import _ket_masks
 from .group_action import orbit_partition
-from .scenario import Command, Scenario, parse_scenario
+from .scenario import _MAX_INT_CHARS, Command, Scenario, parse_scenario
 from .universe import DEFAULT_ENUMERATION_BOUND, Universe, braced, enumerate_partitions
 
 FORMATS = ("text", "csv", "json")
@@ -88,28 +88,27 @@ class _Runner:
         self.chunks: list[str] = []
         self.file_outputs: dict[str, str] = {}
 
-    def emit(self, cmd: Command, text: str) -> None:
-        if cmd.destination:
-            self.file_outputs[cmd.destination] = text + "\n"
-        else:
-            self.chunks.append(text)
-
-    # columns (each its header cell, then one cell per row), text and record are
-    # thunks: only the form the format prints is built.
-    def table(self, cmd: Command, title: str | None, columns: Callable, record: Callable) -> None:
-        if self.fmt == "csv":
-            self.emit(cmd, _csv_str(columns()))
-        elif self.fmt == "json":
-            self.emit(cmd, json.dumps(record(), sort_keys=True))
-        else:
-            text = _aligned(columns())
-            self.emit(cmd, text if title is None else title + "\n" + text)
-
-    def line(self, cmd: Command, text: Callable, record: Callable) -> None:
+    # text, record and csv_text are thunks: only the form the format prints is built.
+    # A command with no csv_text prints its text as CSV too.
+    def emit(self, cmd: Command, text: Callable, record: Callable,
+             csv_text: Callable | None = None) -> None:
         if self.fmt == "json":
-            self.emit(cmd, json.dumps(record(), sort_keys=True))
+            out = json.dumps({"command": cmd.kind, **record()}, sort_keys=True)
         else:
-            self.emit(cmd, text())
+            out = (csv_text if csv_text and self.fmt == "csv" else text)()
+        if cmd.destination:
+            self.file_outputs[cmd.destination] = out + "\n"
+        else:
+            self.chunks.append(out)
+
+    # columns: each its header cell, then one cell per row
+    def table(self, cmd: Command, title: str | None, columns: Callable, record: Callable) -> None:
+        self.emit(
+            cmd,
+            lambda: _aligned(columns()) if title is None else title + "\n" + _aligned(columns()),
+            record,
+            lambda: _csv_str(columns()),
+        )
 
     def _cmd_ket_table(self, cmd: Command) -> None:
         bases = cmd.values
@@ -127,7 +126,7 @@ class _Runner:
 
         self.table(
             cmd, None, columns,
-            lambda: {"command": "ket-table", "bases": [b.name for b in bases],
+            lambda: {"bases": [b.name for b in bases],
                      "rows": [[ns[c] for ns, c in zip(names, row)] for row in zip(*cols)]},
         )
 
@@ -142,15 +141,9 @@ class _Runner:
                 ["decimal"] + [_decimal_str(o.probability) for o in dist.outcomes],
                 ["collapsed"] + [str(o.collapsed) for o in dist.outcomes],
             ],
-            lambda: {
-                "command": cmd.kind,
-                **names,
-                "outcomes": [
-                    {"value": o.value, "probability": str(o.probability),
-                     "collapsed": sorted(o.collapsed.to_subset())}
-                    for o in dist.outcomes
-                ],
-            },
+            lambda: {**names, "outcomes": [
+                {"value": o.value, "probability": str(o.probability),
+                 "collapsed": sorted(o.collapsed.to_subset())} for o in dist.outcomes]},
         )
 
     def _cmd_distribution(self, cmd: Command) -> None:
@@ -171,46 +164,43 @@ class _Runner:
     def _cmd_entropy(self, cmd: Command) -> None:
         (part,) = cmd.values
         h = up.logical_entropy(part)
-        self.line(
+        self.emit(
             cmd,
             lambda: f"entropy {cmd.args[0]} = {h} ({_decimal_str(h)})",
-            lambda: {"command": "entropy", "name": cmd.args[0],
-                     "entropy": str(h), "partition": str(part)},
+            lambda: {"name": cmd.args[0], "entropy": str(h), "partition": str(part)},
         )
 
     def _cmd_join(self, cmd: Command) -> None:
         joined = up.join(*cmd.values)
-        self.line(
+        self.emit(
             cmd,
             lambda: f"join {cmd.args[0]} {cmd.args[1]} = {joined}",
-            lambda: {"command": "join", "operands": list(cmd.args), "partition": str(joined)},
+            lambda: {"operands": list(cmd.args), "partition": str(joined)},
         )
 
     def _cmd_orbits(self, cmd: Command) -> None:
         (group,) = cmd.values
         part = orbit_partition(group)
-        self.line(
+        self.emit(
             cmd,
             lambda: f"orbits {cmd.args[0]} = {part} (order {len(group)})",
-            lambda: {"command": "orbits", "group": cmd.args[0],
-                     "partition": str(part), "order": len(group)},
+            lambda: {"group": cmd.args[0], "partition": str(part), "order": len(group)},
         )
 
     def _cmd_evolve(self, cmd: Command) -> None:
         m, state = cmd.values
         result = calculus.evolve(m, state)
-        self.line(
+        self.emit(
             cmd,
             lambda: f"evolve {cmd.args[0]} {cmd.args[1]} = {result}",
-            lambda: {"command": "evolve", "map": cmd.args[0], "state": cmd.args[1],
-                     "result": str(result)},
+            lambda: {"map": cmd.args[0], "state": cmd.args[1], "result": str(result)},
         )
 
     def _cmd_cascade(self, cmd: Command) -> None:
         *attr_names, state_name = cmd.args
         *attrs, state = cmd.values
         record = calculus.csca_measure(attrs, state, self.seed)
-        self.line(
+        self.emit(
             cmd,
             lambda: "\n".join(
                 [f"cascade {' '.join(attr_names)} from {state_name} (seed {self.seed})"]
@@ -221,8 +211,7 @@ class _Runner:
                 + [f"final = {record.final_state} tuple=({','.join(record.value_tuple)}) "
                    f"p={record.path_probability}"]
             ),
-            lambda: {"command": "cascade", "attributes": attr_names, "state": state_name,
-                     "seed": self.seed,
+            lambda: {"attributes": attr_names, "state": state_name, "seed": self.seed,
                      "steps": [
                          {"attribute": s.attribute, "value": s.value,
                           "pre": str(s.pre_state), "post": str(s.post_state),
@@ -235,10 +224,10 @@ class _Runner:
     def _cmd_lattice(self, cmd: Command) -> None:
         (universe,) = cmd.values
         text = lattice_render(universe, **self.bounds)
-        self.line(
+        self.emit(
             cmd,
             lambda: f"lattice {cmd.args[0]}\n{text}",
-            lambda: {"command": "lattice", "universe": cmd.args[0], "diagram": text},
+            lambda: {"universe": cmd.args[0], "diagram": text},
         )
 
     def _cmd_pythagoras(self, cmd: Command) -> None:
@@ -246,11 +235,10 @@ class _Runner:
         left, right = calculus.pythagoras_check(part, state)
         bits = state._bits()
         terms = " + ".join(str((m & bits).bit_count()) for m in part.masks)
-        self.line(
+        self.emit(
             cmd,
             lambda: f"pythagoras {cmd.args[0]} {cmd.args[1]}: |S|^2 = {left} = {terms} = {right}",
-            lambda: {"command": "pythagoras", "partition": cmd.args[0],
-                     "state": cmd.args[1], "left": left, "right": right},
+            lambda: {"partition": cmd.args[0], "state": cmd.args[1], "left": left, "right": right},
         )
 
 
@@ -278,6 +266,18 @@ def run_scenario(
     return text, runner.file_outputs
 
 
+def _int_flag(token: str) -> int:
+    """A --seed or --bound value: int(token), but a token longer than the seed line's
+    limit is a usage error that gives its length and does not echo it."""
+    if len(token) > _MAX_INT_CHARS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {_MAX_INT_CHARS} characters long, got {len(token)}")
+    return int(token)
+
+
+_int_flag.__name__ = "int"  # argparse names the type of a token int() rejects
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -286,10 +286,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("scenario", help="path to a scenario file")
     parser.add_argument("--format", choices=FORMATS, default="text")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
+    parser.add_argument("--seed", type=_int_flag, default=None,
+                        help="override the scenario's seed")
     parser.add_argument("--paper-order", action="store_true",
                         help="ket-table rows by descending cardinality, empty set last")
-    parser.add_argument("--bound", type=int, default=None,
+    parser.add_argument("--bound", type=_int_flag, default=None,
                         help="override enumeration bounds (lattice, ket-table)")
     return parser
 

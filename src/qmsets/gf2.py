@@ -9,7 +9,8 @@ and ket tables are built as coordinate masks and rendered from them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
+from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import BasisError, BoundError
@@ -150,16 +151,6 @@ def check_basis(
     return Basis(universe, name, tuple(vector_names), tuple(vectors))
 
 
-def _combine(columns: Sequence[int], mask: int) -> int:
-    """The XOR of columns[j] over the set bits j of mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out ^= columns[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 @dataclass(frozen=True, init=False)
 class SetKet:
     """A vector of Z2^|U| as a coordinate mask (bit j = vector j) in a named basis."""
@@ -189,7 +180,8 @@ class SetKet:
 
     def _bits(self) -> int:
         """The standard-basis subset of U as a bitmask: the mask, or the XOR of basis vectors."""
-        return self.mask if self.basis.is_standard else _combine(self.basis.masks, self.mask)
+        basis = self.basis
+        return self.mask if basis.is_standard else reduce(xor, _at_bits(basis.masks, self.mask), 0)
 
     def to_subset(self) -> frozenset[str]:
         """Expand to the standard-basis subset of U (XOR of basis vectors)."""
@@ -338,7 +330,7 @@ def apply_map(m: LinearMap, s: SetKet) -> SetKet:
     require_same_universe(m.domain, s)
     if s.basis != m.domain:
         raise BasisError("ket is not expressed in the map's domain basis")
-    return SetKet._of(m.codomain, _combine(m.columns, s.mask))
+    return SetKet._of(m.codomain, reduce(xor, _at_bits(m.columns, s.mask), 0))
 
 
 def is_nonsingular(m: LinearMap) -> bool:

@@ -72,6 +72,10 @@ COMMANDS = {
 
 SAMPLING_COMMANDS = ("cascade",)
 
+# The longest integer token on a seed line or in --seed and --bound: int() limits
+# the digits it reads, and printing the integer too.
+_MAX_INT_CHARS = 100
+
 # The Scenario field that holds the declarations of each kind.
 _POOLS = {
     "universe": "universes",
@@ -247,7 +251,7 @@ def _seed(sc: Scenario, text: str) -> None:
         raise ScenarioError("seed takes exactly one integer")
     if sc.seed is not None:
         raise ScenarioError("seed given twice")
-    if len(parts[1]) > 100:  # int() limits the digits it reads, and printing the seed too
+    if len(parts[1]) > _MAX_INT_CHARS:  # the message spells out _MAX_INT_CHARS
         raise ScenarioError(f"seed must be at most 100 characters long, got {len(parts[1])}")
     try:
         sc.seed = int(parts[1])

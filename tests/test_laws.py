@@ -85,6 +85,7 @@ from qmsets import calculus
 from qmsets.attributes import value_sort_key
 from qmsets.calculus import Projection
 from qmsets.cli import FORMATS, main
+from qmsets.scenario import COMMANDS
 
 import reference as ref
 
@@ -716,6 +717,26 @@ class TestCLIDeterminism:
                 first = run_cli(path, "--format", fmt)
                 assert first[0] == 0 and len(first[3]) == 2, first
                 assert run_cli(path, "--format", fmt) == first
+
+    @settings(max_examples=10, deadline=None)
+    @given(scenario_files())
+    def test_to_writes_the_bytes_stdout_would_print(self, text):
+        """Every command kind, in every format, goes through one writer: alone
+        in a file with `to x.txt`, a command writes its output and a line break,
+        the very bytes it prints to stdout without `to`."""
+        declarations, commands = text.split("\n\n")
+        commands = [line.split(" to ")[0] for line in commands.splitlines()]
+        assert sorted(line.split()[0] for line in commands) == sorted(COMMANDS)
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "s.qms"
+            for command in commands:
+                for fmt in FORMATS:
+                    path.write_text(f"{declarations}\n\n{command}\n")
+                    code, stdout, err, written = run_cli(path, "--format", fmt)
+                    assert (code, err, written) == (0, "", {}), (command, fmt)
+                    path.write_text(f"{declarations}\n\n{command} to {out}/x.txt\n")
+                    assert run_cli(path, "--format", fmt) == (
+                        0, "", "", {"x.txt": stdout.encode("utf-8")}), (command, fmt)
 
     @settings(max_examples=25, deadline=None)
     @given(scenario_files())

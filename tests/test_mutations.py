@@ -24,10 +24,13 @@ LINES = [path.read_text(encoding="utf-8").splitlines(keepends=True) for path in 
 
 # Line breaks that str.splitlines() knows and a file line does not (\f, \x1c,
 # \x85), the NUL that no path may hold and a byte-order mark; exponents whose
-# powers no parser should build; the punctuation of set, cycle and entry texts,
-# and a few words.  No "/": every `to` path stays in the run's own directory.
+# powers no parser should build, and an integer and a ratio with more digits
+# than an int/str digit limit allows; the punctuation of set, cycle and entry
+# texts, and a few words.  The one "/" follows a digit, so every `to` path stays
+# under the run's own directory.
 SPECIAL = ["\0", "\f", "\x1c", "\x85", "\ufeff", "\r", "\n"]
-EXPONENTS = ["1e100000000", "-1e-100000000", "2E99999999999", "1e9999999999999999999999"]
+EXPONENTS = ["1e100000000", "-1e-100000000", "2E99999999999", "1e9999999999999999999999",
+             "1" * 5000, "1" * 5000 + "/3"]
 PLAIN = [" ", "#", "=", ":", ",", "|", "{", "}", "(", ")", "{}", ".", "'",
          "a", "x", "1", "-", "e", "to", "from"]
 BUDGET_S = 1.0

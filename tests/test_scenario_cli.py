@@ -16,7 +16,7 @@ from qmsets import (
     run_scenario,
 )
 from qmsets.cli import main
-from qmsets.scenario import COMMANDS
+from qmsets.scenario import _MAX_INT_CHARS, COMMANDS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -574,3 +574,43 @@ class TestParseErrorMessages:
         bad.write_text(text)
         assert main([str(bad)]) == 2
         assert capsys.readouterr() == ("", f"qmsets: line {line}: {message}\n")
+
+
+class TestIntegerFlags:
+    """--seed and --bound read an integer token under the seed line's length rule."""
+
+    @pytest.mark.parametrize("flag", ["--seed", "--bound"])
+    @pytest.mark.parametrize("length", [_MAX_INT_CHARS + 1, 5000])
+    def test_a_long_token_is_a_usage_error_that_does_not_echo_it(self, capsys, flag, length):
+        token = "1" * length
+        assert main([str(SCENARIO_DIR / "measurement.qms"), flag, token]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: qmsets")
+        assert [line for line in captured.err.splitlines() if line.startswith("qmsets:")] == [
+            f"qmsets: error: argument {flag}: "
+            f"must be at most {_MAX_INT_CHARS} characters long, got {length}"]
+        assert token not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--bound"])
+    def test_a_token_at_the_limit_is_read(self, capsys, flag):
+        token = "9" * _MAX_INT_CHARS
+        assert main([str(SCENARIO_DIR / "measurement.qms"), flag, token]) == 0
+        out = capsys.readouterr().out
+        assert (f"(seed {token})" in out) == (flag == "--seed")
+
+    @pytest.mark.parametrize("flag", ["--seed", "--bound"])
+    def test_a_token_that_is_no_integer_keeps_argparse_words(self, capsys, flag):
+        assert main([str(SCENARIO_DIR / "measurement.qms"), flag, "x1"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"qmsets: error: argument {flag}: invalid int value: 'x1'")
+
+    def test_the_seed_line_keeps_the_same_limit(self, tmp_path, capsys):
+        path = tmp_path / "seed.qms"
+        path.write_text(f"seed {'9' * _MAX_INT_CHARS}\n")
+        assert main([str(path)]) == 0
+        path.write_text(f"seed {'9' * (_MAX_INT_CHARS + 1)}\n")
+        assert main([str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"qmsets: line 1: seed must be at most {_MAX_INT_CHARS} characters long, "
+            f"got {_MAX_INT_CHARS + 1}\n"))
