@@ -213,42 +213,27 @@ def to_basis(s: SetKet, target: Basis) -> SetKet:
     return SetKet._of(target, gf2_solve(target.masks, s._bits()))
 
 
-def _coordinate_table(basis: Basis) -> list[int]:
-    """coords[m] is the coordinate mask, in `basis`, of the subset with bits m.
-
-    Built by summing basis vectors over every coordinate mask c, each sum
-    extending the one for c without its lowest bit; a Basis is independent.
-    """
-    vectors = basis.masks
-    size = 1 << len(vectors)
-    subset = [0] * size
-    coords = [0] * size
-    for c in range(1, size):
-        low = c & -c
-        m = subset[c] = subset[c ^ low] ^ vectors[low.bit_length() - 1]
-        coords[m] = c
-    return coords
-
-
 def _paper_masks(n: int) -> list[int]:
     """All subsets of n positions in the canonical three-basis table layout:
     descending cardinality, then by highest position ascending, next highest
-    descending, and so on, alternating (alternating-sign colex)."""
-
-    @cache
-    def level(k: int, limit: int, ascending: bool) -> tuple[int, ...]:
-        if not k:
-            return (0,)
-        tops = range(k - 1, limit)
-        return tuple((1 << p) | m for p in (tops if ascending else reversed(tops))
-                     for m in level(k - 1, p, not ascending))
-
-    return [m for k in range(n, -1, -1) for m in level(k, n, True)]
+    descending, and so on, alternating (alternating-sign colex).  up[k] holds
+    the k-subsets of the positions so far in that order, down[k] with every
+    level reversed; those that position p tops go last in up, first in down."""
+    up, down = [[0]], [[0]]
+    for p in range(n):
+        up.append([])
+        down.append([])
+        for k in range(p + 1, 0, -1):  # downward, so up[k - 1] and down[k - 1] are still old
+            up[k] += [1 << p | m for m in down[k - 1]]
+            down[k] = [1 << p | m for m in up[k - 1]] + down[k]
+    return [m for level in reversed(up) for m in level]
 
 
 def _ket_masks(bases: Sequence[Basis], paper_order: bool,
                bound: int = DEFAULT_KET_TABLE_BOUND) -> list[list[int]]:
-    """The columns of the ket table: each basis's coordinate masks, in row order."""
+    """The columns of the ket table: each basis's coordinate masks, in row order.
+    subsets[c] is the XOR of the vectors set in coordinate mask c; a Basis is
+    independent, so coords is its inverse."""
     if not bases:
         raise BasisError("ket_table needs at least one basis")
     for b in bases[1:]:
@@ -257,7 +242,14 @@ def _ket_masks(bases: Sequence[Basis], paper_order: bool,
     if n > bound:
         raise BoundError(f"universe size {n} exceeds ket-table bound {bound}", size=n)
     masks = _paper_masks(n) if paper_order else range(1 << n)
-    return [list(map(table.__getitem__, masks)) for table in map(_coordinate_table, bases)]
+    columns = []
+    for basis in bases:
+        subsets = [0]
+        for v in basis.masks:
+            subsets += [s ^ v for s in subsets]
+        coords = dict(zip(subsets, range(1 << n)))
+        columns.append(list(map(coords.__getitem__, masks)))
+    return columns
 
 
 def ket_table(

@@ -27,7 +27,8 @@ Any command may end with ``to <path>`` to write its output to a file, each
 path at most once, as ``os.path.realpath`` resolves it: ``out.txt`` and
 ``./out.txt`` are one path (hard links and case-insensitive file systems are
 out of scope); a path holds no NUL.  Every referenced name must be declared
-on an earlier line, and names are unique per kind.  A name appears at most
+on an earlier line, and names are unique per kind; ``to`` and ``from`` are
+keywords and name no declaration.  A name appears at most
 once in a brace set, a partition block included, and a ``key:value`` entry
 needs both parts.  Attribute values sort numbers first, by value, then text,
 in one order on every supported Python: a number is what Python 3.11's
@@ -272,6 +273,8 @@ def _declaration(sc: Scenario, kind: str, text: str) -> None:
     elif len(parts) != 4 or parts[2] not in ("on", "in"):
         raise ScenarioError(f"usage: {kind} NAME on UNIVERSE = ...")
     name, pool = parts[1], getattr(sc, _POOLS[kind])
+    if name in ("to", "from"):  # a command's output path and a cascade's state follow them
+        raise ScenarioError(f"{kind} name {name!r} is a command keyword")
     if name in pool:
         raise ScenarioError(f"duplicate {kind} name {name!r}")
     home = None

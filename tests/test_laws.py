@@ -85,6 +85,7 @@ from qmsets import calculus
 from qmsets.attributes import value_sort_key
 from qmsets.calculus import Projection
 from qmsets.cli import FORMATS, main
+from qmsets.gf2 import DEFAULT_KET_TABLE_BOUND
 from qmsets.scenario import COMMANDS
 
 import reference as ref
@@ -391,6 +392,22 @@ class TestGF2:
             assert [sum(1 << u.position(x) for x in s) for s in subsets] == list(
                 range(2 ** len(u))
             )
+
+    @pytest.mark.parametrize("paper_order", [False, True], ids=["rows", "paper"])
+    def test_ket_table_up_to_its_bound(self, paper_order):
+        """Every n up to the default bound, on the standard basis and a
+        triangular one, vector j holding labels j..n-1 (standard only at
+        n = 1): each cell's vectors XOR back to its row's subset, and the rows
+        count in binary or follow the paper order."""
+        for n in range(1, DEFAULT_KET_TABLE_BOUND + 1):
+            u = Universe.of(f"e{i}" for i in range(n))
+            triangular = check_basis(u, [u.elements[j:] for j in range(n)], "T")
+            rows = ket_table([standard_basis(u), triangular], paper_order=paper_order)
+            expected = paper_order_subsets(u) if paper_order else [
+                frozenset(x for p, x in enumerate(u.elements) if m >> p & 1)
+                for m in range(2 ** n)
+            ]
+            assert [[ref_form(k) for k in row] for row in rows] == [[s, s] for s in expected]
 
     @LAWS
     @given(universe_and_bases(2), st.booleans())

@@ -334,6 +334,30 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert captured.err == "qmsets: [Errno 2] No such file or directory: 'missing/h.txt'\n"
 
+    @pytest.mark.parametrize("declaration, command", [
+        ("basis to on U = x:{a} y:{a,b}", "ket-table U to V"),
+        ("attribute from on U = a:1 b:2", "cascade from from S"),
+        ("universe to = a b", "lattice to"),
+    ], ids=["basis-to", "attribute-from", "universe-to"])
+    def test_a_keyword_names_no_declaration(
+        self, tmp_path, monkeypatch, capsys, declaration, command
+    ):
+        """A basis named `to` made `ket-table U to V` write a one-basis table
+        to a file V, and an attribute named `from` made every cascade over it
+        a usage error; such a declaration is refused on its own line."""
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "keyword.qms"
+        bad.write_text(
+            "seed 1\nuniverse U = a b\nbasis V on U = x:{b} y:{a,b}\nstate S on U = {a,b}\n"
+            f"{declaration}\n{command}\n"
+        )
+        assert main([str(bad)]) == 2
+        kind, name = declaration.split()[:2]
+        assert capsys.readouterr() == (
+            "", f"qmsets: line 5: {kind} name {name!r} is a command keyword\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keyword.qms"]
+
     def test_usage_error_missing_file(self, capsys):
         assert main(["/nonexistent/path.qms"]) == 1
         assert "qmsets:" in capsys.readouterr().err

@@ -26,6 +26,9 @@ def part(universe, *blocks):
 
 
 class TestConstruction:
+    def test_size_is_the_label_count(self):
+        assert Universe.of("abcd").size == len(Universe.of("abcd")) == 4
+
     def test_universe_rejects_duplicates(self):
         with pytest.raises(QmSetsError):
             Universe.of("aba")
