@@ -165,8 +165,10 @@ class SetPartition:
 
     @classmethod
     def _from_masks(cls, universe: Universe, masks: Iterable[int]) -> "SetPartition":
-        """Masks that already form a partition, in any order."""
-        return cls._of(universe, tuple(sorted(masks, key=_least_bit)))
+        """Masks that already form a partition, in any order: one list, sorted in place."""
+        masks = list(masks)
+        masks.sort(key=_least_bit)
+        return cls._of(universe, tuple(masks))
 
     @property
     def blocks(self) -> tuple[tuple[str, ...], ...]:
@@ -204,6 +206,16 @@ class DitSet:
 
     partition: SetPartition
 
+    def __post_init__(self):
+        if not isinstance(self.partition, SetPartition):
+            raise QmSetsError("a dit-set is built from a SetPartition")
+
+    @classmethod
+    def _of(cls, partition: SetPartition) -> "DitSet":
+        obj = object.__new__(cls)
+        obj.__dict__["partition"] = partition
+        return obj
+
     @property
     def universe(self) -> Universe:
         return self.partition.universe
@@ -230,7 +242,7 @@ class DitSet:
         return all(m & both != both for m in self.partition.masks)
 
     def union(self, other: "DitSet") -> "DitSet":
-        return DitSet(join(self.partition, other.partition))
+        return DitSet._of(join(self.partition, other.partition))
 
     def issubset(self, other: "DitSet") -> bool:
         return refines(other.partition, self.partition)
@@ -264,17 +276,20 @@ def join(p: SetPartition, q: SetPartition) -> SetPartition:
 def meet(p: SetPartition, q: SetPartition) -> SetPartition:
     """Finest common coarsening: each block of q merges the blocks it meets.
 
-    Extra lattice operation used for lattice rendering; join is the operation
-    with measurement semantics.  The meet coarsens both operands, so when it
-    has as many blocks as one of them it is that operand, returned as it is.
+    Dual to join, for API callers: the library itself measures by join.  It
+    coarsens both operands, so with as many blocks as one it is that operand.
     """
     require_same_universe(p, q)
     blocks = p.masks
     for c in q.masks:
-        hit = [b for b in blocks if b & c]
-        if len(hit) > 1:  # disjoint masks: their sum is their union
-            blocks = [b for b in blocks if not b & c]
-            blocks.append(sum(hit))
+        merged, rest = 0, []
+        for b in blocks:
+            if b & c:
+                merged |= b
+            else:
+                rest.append(b)
+        if len(rest) < len(blocks) - 1:  # c met two or more blocks
+            blocks = [*rest, merged]
     if len(blocks) == len(p.masks):  # nothing merged
         return p
     if len(blocks) == len(q.masks):
@@ -284,7 +299,7 @@ def meet(p: SetPartition, q: SetPartition) -> SetPartition:
 
 def dit(p: SetPartition) -> DitSet:
     """All ordered pairs of elements lying in distinct blocks."""
-    return DitSet(p)
+    return DitSet._of(p)
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:
@@ -293,12 +308,12 @@ def refines(p: SetPartition, q: SetPartition) -> bool:
     require_same_universe(p, q)
     if len(p.masks) < len(q.masks):
         return False
-    return sum(1 for b in p.masks for c in q.masks if b & c) == len(p.masks)
+    return len([1 for b in p.masks for c in q.masks if b & c]) == len(p.masks)
 
 
 def logical_entropy(p: SetPartition) -> Fraction:
     """Logical entropy |dit(p)| / |U|^2, with |dit(p)| = |U|^2 - sum |B|^2."""
-    return Fraction(len(DitSet(p)), len(p.universe) ** 2)
+    return Fraction(len(DitSet._of(p)), len(p.universe) ** 2)
 
 
 def enumerate_partitions(

@@ -2,7 +2,8 @@
 
 The partition lattice, dit-sets, entropy, the Born rule, measurement and
 its seeded draws: all 15 partitions, every ordered pair of them, and every
-nonempty state.  Cascades and their exact finals: every pair of
+nonempty state.  The lattice and dit-set unions again over a 5-set: all 52
+partitions, every ordered pair.  Cascades and their exact finals: every pair of
 partition-shaped attributes whose join is discrete.  Group closure and
 orbits: every set of one or two of the 24 permutations.  GF(2) coordinates
 and basis checks: every ordered triple of distinct nonempty subsets of a
@@ -84,6 +85,23 @@ def test_lattice_against_the_reference(p):
         assert refines(P, Q) == ref.refines(p, q), text(q)
         assert dit(P).union(dit(Q)).pairs == ref.dit(p, LABELS) | ref.dit(q, LABELS)
         assert dit(P).issubset(dit(Q)) == (ref.dit(p, LABELS) <= ref.dit(q, LABELS))
+
+
+def test_lattice_against_the_reference_on_a_5_set():
+    """The benchmark times join, meet, refines and dit at |U| = 5 as well."""
+    labels = ("c", "e", "a", "d", "b")  # universe order is not label order
+    u5 = Universe.of(labels)
+    partitions = ref.set_partitions(labels)
+    assert len(set(partitions)) == 52
+    # The checked constructor's value: equality with it also pins canonical order.
+    checked = {p: SetPartition.from_blocks(u5, [sorted(b) for b in p]) for p in partitions}
+    dits = {p: ref.dit(p, labels) for p in partitions}
+    for p, P in checked.items():
+        for q, Q in checked.items():
+            assert join(P, Q) == checked[ref.join(p, q)], (p, q)
+            assert meet(P, Q) == checked[ref.meet(p, q)], (p, q)
+            assert refines(P, Q) == ref.refines(p, q), (p, q)
+            assert dit(P).union(dit(Q)).pairs == dits[p] | dits[q], (p, q)
 
 
 @pytest.mark.parametrize("p", PARTITIONS, ids=text)

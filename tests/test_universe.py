@@ -4,6 +4,7 @@ import pytest
 
 from qmsets import (
     CompatibilityError,
+    DitSet,
     QmSetsError,
     SetPartition,
     Universe,
@@ -139,6 +140,12 @@ class TestDit:
         for p in parts:
             for q in parts:
                 assert dit(join(p, q)).pairs == dit(p).pairs | dit(q).pairs
+
+    @pytest.mark.parametrize("value", ["abc", None, (1, 2, 4)], ids=["text", "none", "masks"])
+    def test_a_dit_set_is_built_from_a_partition(self, value):
+        with pytest.raises(QmSetsError) as exc:
+            DitSet(value)
+        assert str(exc.value) == "a dit-set is built from a SetPartition"
 
     def test_complement_is_equivalence_u5(self):
         u5 = Universe.of("abcde")
