@@ -96,7 +96,7 @@ class Attribute:
 
 def inverse_image_partition(f: Attribute) -> SetPartition:
     """Blocks are the nonempty preimages f^-1(r)."""
-    return SetPartition._from_masks(f.universe, f._spectrum.values())
+    return SetPartition._from_masks(f.universe, list(f._spectrum.values()))
 
 
 def compatible(f: Attribute, g: Attribute) -> bool:

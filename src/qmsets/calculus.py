@@ -210,9 +210,9 @@ class MeasurementStep:
     probability: Fraction
     # measure_sample's draw d, and the drawn outcome's running counts
     # [cum_lo, cum_hi): cum_lo * 2**64 <= d * |pre_state| < cum_hi * 2**64.
-    draw: int | None = None
-    cum_lo: int | None = None
-    cum_hi: int | None = None
+    draw: int
+    cum_lo: int
+    cum_hi: int
 
 
 @dataclass(frozen=True)

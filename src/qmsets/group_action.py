@@ -188,7 +188,7 @@ def orbit_partition(g: TransformationGroup) -> SetPartition:
             raise GroupError("not a group: its elements generate a different set")
     # Orbit i is column i of the target tuples, {t(u_i) : t in G}, as a mask.
     orbits = {sum(1 << j for j in set(column)) for column in zip(*(t.targets for t in g))}
-    return SetPartition._from_masks(g.universe, orbits)
+    return SetPartition._from_masks(g.universe, list(orbits))
 
 
 def is_invariant(g: TransformationGroup, s: SetKet) -> bool:

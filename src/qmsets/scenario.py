@@ -26,22 +26,22 @@ Grammar (one statement per line, ``#`` starts a comment):
 Any command may end with ``to <path>`` to write its output to a file, each
 path at most once, as ``os.path.realpath`` resolves it: ``out.txt`` and
 ``./out.txt`` are one path (hard links and case-insensitive file systems are
-out of scope); a path holds no NUL.  Every referenced name must be declared
-on an earlier line, and names are unique per kind; ``to`` and ``from`` are
-keywords and name no declaration.  A name appears at most
-once in a brace set, a partition block included, and a ``key:value`` entry
-needs both parts.  Attribute values sort numbers first, by value, then text,
-in one order on every supported Python: a number is what Python 3.11's
+out of scope); a path holds no NUL.  Every referenced name must be declared on
+an earlier line, and names are unique per kind; ``to`` and ``from`` are
+keywords and name no declaration.  ``in`` links a state only.  A name appears
+at most once in a brace set, a partition block included, and a ``key:value``
+entry needs both parts.  Attribute values sort numbers first, by value, then
+text, in one order on every supported Python: a number is what Python 3.11's
 ``Fraction()`` reads, such as ``1_0``, ``1e1`` or ``3/2``; ``1__0`` is text.
 A universe label or basis vector name holds none of ``{ } , | ( ) :``.
 A group's cycles name only labels of its universe, each at most once per
 generator, within a cycle or across its cycles.
 An argument that names two of the kinds it may take is a parse error (exit
 2); operands on different universes are a runtime error (exit 3).  A seed is
-an integer of at most 100 characters.  It is required when a sampling command
-(cascade) appears, and is an error on the first such command's line when
-missing; a second ``seed`` line is an error on its own line.  One leading
-UTF-8 byte-order mark is ignored.
+an integer of at most 100 characters.  It is required when ``cascade``
+appears, and is an error on the first ``cascade`` line when missing; a
+second ``seed`` line is an error on its own line.  One leading UTF-8
+byte-order mark is ignored.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ COMMANDS = {
     "lattice": ("universe",),
     "pythagoras": ("partition|attribute", "state"),
 }
-
-SAMPLING_COMMANDS = ("cascade",)
 
 # The longest integer token on a seed line or in --seed and --bound: int() limits
 # the digits it reads, and printing the integer too.
@@ -137,13 +135,12 @@ class Scenario:
         if lines:
             lines.append("")
         for cmd in self.commands:
-            text = f"{cmd.kind} " + " ".join(cmd.args)
+            words = [cmd.kind, *cmd.args]
             if cmd.kind == "cascade":
-                *attrs, state = cmd.args
-                text = f"cascade {' '.join(attrs)} from {state}"
+                words.insert(-1, "from")  # before the state, as _command reads it
             if cmd.destination:
-                text += f" to {cmd.destination}"
-            lines.append(text)
+                words += ["to", cmd.destination]
+            lines.append(" ".join(words))
         return "\n".join(lines) + "\n"
 
 
@@ -222,7 +219,7 @@ def _group(name: str, home: Universe, body: str):
 
 
 def _state(name: str, home: Basis, body: str):
-    state = SetKet(home, frozenset(_parse_subset(body)))
+    state = SetKet(home, _parse_subset(body))
     return state, str(state)
 
 
@@ -262,7 +259,7 @@ def _seed(sc: Scenario, text: str) -> None:
 
 
 def _declaration(sc: Scenario, kind: str, text: str) -> None:
-    # "<kind> <name> [on|in <home>] = <body>"
+    # "<kind> <name> [on <universe>] = <body>", or "state <name> in <basis|universe> = <body>"
     if "=" not in text:
         raise ScenarioError("declaration needs '='")
     head, body = text.split("=", 1)
@@ -270,7 +267,7 @@ def _declaration(sc: Scenario, kind: str, text: str) -> None:
     if kind == "universe":
         if len(parts) != 2:
             raise ScenarioError("usage: universe NAME = e1 e2 ...")
-    elif len(parts) != 4 or parts[2] not in ("on", "in"):
+    elif len(parts) != 4 or parts[2] != "on" and (kind, parts[2]) != ("state", "in"):
         raise ScenarioError(f"usage: {kind} NAME on UNIVERSE = ...")
     name, pool = parts[1], getattr(sc, _POOLS[kind])
     if name in ("to", "from"):  # a command's output path and a cascade's state follow them
@@ -282,12 +279,9 @@ def _declaration(sc: Scenario, kind: str, text: str) -> None:
         link, ref = parts[2:]
         # A state "in" a basis is written in that basis; all else is "on"
         # a universe, which states and maps take in its standard basis.
-        if kind == "state" and link == "in":
-            home = sc.lookup(ref, "basis|universe")
-        else:
-            home = sc.lookup(ref, "universe")
-            if kind in ("state", "map"):
-                home = sc.standard_bases[ref]
+        home = sc.lookup(ref, "basis|universe" if link == "in" else "universe")
+        if link == "on" and kind in ("state", "map"):
+            home = sc.standard_bases[ref]
     pool[name], canonical = _DECLARATIONS[kind](name, home, body.strip())
     if kind == "universe":
         sc.standard_bases[name] = standard_basis(pool[name], name=name)
@@ -306,14 +300,10 @@ def _command(sc: Scenario, kind: str, text: str) -> tuple:
         real = os.path.realpath
         if any(real(c.destination) == real(destination) for c in sc.commands if c.destination):
             raise ScenarioError(f"output path {destination!r} used twice")
-    if kind == "cascade":
-        if "from" not in tokens:
+    if kind == "cascade":  # the first "from" is the second-to-last token, after an attribute
+        if len(tokens) < 3 or tokens[-2] != "from" or "from" in tokens[:-2]:
             raise ScenarioError("usage: cascade ATTR... from STATE")
-        idx = tokens.index("from")
-        attrs, rest = tokens[:idx], tokens[idx + 1:]
-        if not attrs or len(rest) != 1:
-            raise ScenarioError("usage: cascade ATTR... from STATE")
-        tokens = attrs + rest
+        del tokens[-2]
     kinds = COMMANDS[kind]
     extra = len(tokens) - len(kinds)
     wanted = [
@@ -345,7 +335,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"unknown statement {head!r}")
         except QmSetsError as exc:  # the one place a parse error gets its line
             raise ScenarioError(str(exc), line) from None
-    first = next((c for c in scenario.commands if c.kind in SAMPLING_COMMANDS), None)
+    first = next((c for c in scenario.commands if c.kind == "cascade"), None)
     if scenario.seed is None and first is not None:
         raise ScenarioError("a seed is required when sampling commands appear", first.line)
     return scenario

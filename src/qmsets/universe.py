@@ -8,7 +8,7 @@ the partition it determines.  Public constructors check, _of trusts: the
 invariants (nonempty, disjoint, covering, ordered) are checked once, in the
 SetPartition constructor, which from_blocks calls after a sort.  The library
 builds its values valid and writes their fields into the instance dict
-unchecked, through each type's _of; SetPartition._from_masks sorts first.
+unchecked, through each type's _of; _from_masks sorts its fresh list in place.
 """
 
 from __future__ import annotations
@@ -164,9 +164,8 @@ class SetPartition:
         return obj
 
     @classmethod
-    def _from_masks(cls, universe: Universe, masks: Iterable[int]) -> "SetPartition":
-        """Masks that already form a partition, in any order: one list, sorted in place."""
-        masks = list(masks)
+    def _from_masks(cls, universe: Universe, masks: list[int]) -> "SetPartition":
+        """A partition's masks in any order, as a fresh list, which it sorts in place."""
         masks.sort(key=_least_bit)
         return cls._of(universe, tuple(masks))
 

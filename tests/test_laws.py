@@ -648,6 +648,28 @@ class TestDraws:
             assert drawn.cum_lo * 2**64 <= d * size < drawn.cum_hi * 2**64
             assert drawn.cum_hi - drawn.cum_lo == len(drawn.post_state.to_subset())
 
+    @LAWS
+    @given(st.data(), st.integers(0, 2**40), st.integers(0, 8))
+    def test_a_step_measures_the_state_itself_on_any_standard_basis(self, data, seed, step):
+        """pre_state is the state object on a standard basis, whatever it and
+        its vectors are named; on any other basis it is the state's standard
+        form, on basis "U"."""
+        u = data.draw(universes)
+        f = data.draw(attributes(u))
+        singletons = [frozenset((x,)) for x in u]
+        renamed = st.builds(
+            lambda name, names: check_basis(u, singletons, name, names),
+            st.sampled_from(["U", "V"]),
+            st.one_of(st.just(u.elements), st.permutations(u.elements)),
+        )
+        basis = data.draw(st.one_of(renamed, bases(u, "V")))
+        s = SetKet(basis, data.draw(st.sets(st.sampled_from(basis.vector_names), min_size=1)))
+        pre = measure_sample(f, s, seed, step).pre_state
+        if basis.is_standard:
+            assert pre is s
+        else:
+            assert pre == to_basis(s, standard_basis(u)) and pre.basis.name == "U"
+
 
 # Spellings of one number, underscores, exponents, ratios, and tokens
 # outside the number grammar, such as "1__0", "1 /2" and "1/0", which are text.

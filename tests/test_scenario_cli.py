@@ -251,6 +251,18 @@ class TestRunning:
         assert len(outputs) == 1
         assert "01     1/3" in outputs.pop().splitlines()[2]
 
+    def test_a_state_names_its_first_unknown_vector_under_any_hash_seed(self, tmp_path):
+        path = tmp_path / "unknown.qms"
+        path.write_text("universe U = a b\nstate S on U = {x,y,z,w}\n")
+        src = str(Path(qmsets.__file__).resolve().parent.parent)
+        errors = set()
+        for hash_seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-m", "qmsets", str(path)],
+                                 env=env, capture_output=True, text=True)
+            errors.add((run.returncode, run.stderr))
+        assert errors == {(2, "qmsets: line 2: 'x' is not a vector of basis 'U'\n")}
+
     def test_cascade_ends_in_singleton(self):
         out, _ = run_scenario(parse_scenario(BASIC))
         final_line = [l for l in out.splitlines() if l.startswith("final =")][0]
@@ -598,6 +610,16 @@ class TestParseErrorMessages:
         bad.write_text(text)
         assert main([str(bad)]) == 2
         assert capsys.readouterr() == ("", f"qmsets: line {line}: {message}\n")
+
+    @pytest.mark.parametrize("kind", ["basis", "attribute", "partition", "group", "map"])
+    def test_in_links_a_state_only(self, tmp_path, capsys, kind):
+        body = {"basis": "x:{a} y:{b} z:{c}", "attribute": "a:1 b:1 c:2",
+                "partition": "{a}|{b,c}", "group": "(a b)", "map": "{b} {a} {c}"}[kind]
+        bad = tmp_path / "in.qms"
+        bad.write_text(f"universe U = a b c\n{kind} X in U = {body}\n")
+        assert main([str(bad)]) == 2
+        usage = f"usage: {kind} NAME on UNIVERSE = ..."
+        assert capsys.readouterr() == ("", f"qmsets: line 2: {usage}\n")
 
 
 class TestIntegerFlags:
