@@ -137,14 +137,24 @@ class OutcomeDistribution:
 
 
 def born_distribution(s: SetKet) -> OutcomeDistribution:
-    """Laplacian equal probability over the singletons of a nonempty state."""
+    """Laplacian equal probability over the singletons of a nonempty state.
+
+    One walk over the state's bits.  Each outcome and its singleton ket are
+    written into their instance dicts as SetKet._of and Outcome._of write them,
+    without the call per object."""
     bits = _standard_bits(s)
     if not bits:
         raise EmptyStateError("cannot condition on the empty state")
     basis, p = _standard_basis_of(s), Fraction(1, bits.bit_count())
-    names = basis.vector_names
-    outcomes = [Outcome._of(names[i], p, SetKet._of(basis, 1 << i))
-                for i in _at_bits(range(len(names)), bits)]
+    names, new, outcomes = basis.vector_names, object.__new__, []
+    for i in _at_bits(range(len(names)), bits):
+        ket = new(SetKet)
+        k = ket.__dict__
+        k["basis"], k["mask"] = basis, 1 << i
+        o = new(Outcome)
+        d = o.__dict__
+        d["value"], d["probability"], d["collapsed"] = names[i], p, ket
+        outcomes.append(o)
     return OutcomeDistribution._of(s, tuple(outcomes))
 
 
@@ -173,9 +183,13 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
     """Pr(r|S) = |f^-1(r) & S| / |S| with collapsed states f^-1(r) & S.
 
     A state expressed in a non-standard basis is first re-expressed in the
-    attribute's home basis (the standard basis of its universe).  A state
-    inside one preimage f^-1(r) is an eigenstate: r is certain and the
-    collapse is the state, itself when already on _standard_basis_of(s).
+    attribute's home basis (the standard basis of its universe).  One walk
+    over the spectrum: the preimages cover U, so a state inside the first
+    preimage it meets is an eigenstate, r is certain and the collapse is the
+    state, itself when already on _standard_basis_of(s).  Otherwise each
+    outcome and its collapse are written into their instance dicts as they
+    are found, as SetKet._of and Outcome._of write them, without the call
+    per object.
     """
     require_same_universe(f, s)
     bits = s._bits()
@@ -183,16 +197,21 @@ def measure_distribution(f: Attribute, s: SetKet) -> OutcomeDistribution:
         raise EmptyStateError("cannot measure the empty state")
     if not s.basis.is_standard:
         s = SetKet._of(standard_basis(f.universe), bits)
-    hits = [(r, inter) for r, m in f._spectrum.items() if (inter := m & bits)]
-    if len(hits) == 1:  # the preimages cover U, so S lies inside this one
-        collapsed = s if (home := _standard_basis_of(s)) is s.basis else SetKet._of(home, bits)
-        return OutcomeDistribution._of(s, (Outcome._of(hits[0][0], _CERTAIN, collapsed),))
-    size = bits.bit_count()
-    return OutcomeDistribution._of(s, tuple(
-        Outcome._of(r, Fraction(inter.bit_count(), size),
-                    SetKet._of(standard_basis(f.universe), inter))
-        for r, inter in hits
-    ))
+    size, new, outcomes = bits.bit_count(), object.__new__, []
+    for r, m in f._spectrum.items():
+        if not (inter := m & bits):
+            continue
+        if inter == bits:
+            collapsed = s if (home := _standard_basis_of(s)) is s.basis else SetKet._of(home, bits)
+            return OutcomeDistribution._of(s, (Outcome._of(r, _CERTAIN, collapsed),))
+        ket = new(SetKet)
+        k = ket.__dict__
+        k["basis"], k["mask"] = standard_basis(f.universe), inter
+        o = new(Outcome)
+        d = o.__dict__
+        d["value"], d["probability"], d["collapsed"] = r, Fraction(inter.bit_count(), size), ket
+        outcomes.append(o)
+    return OutcomeDistribution._of(s, tuple(outcomes))
 
 
 def _draw(seed: int, step: int) -> int:

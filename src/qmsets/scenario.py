@@ -28,11 +28,12 @@ path at most once, as ``os.path.realpath`` resolves it: ``out.txt`` and
 ``./out.txt`` are one path (hard links and case-insensitive file systems are
 out of scope); a path holds no NUL.  Every referenced name must be declared on
 an earlier line, and names are unique per kind; ``to`` and ``from`` are
-keywords and name no declaration.  ``in`` links a state only.  A name appears
-at most once in a brace set, a partition block included, and a ``key:value``
-entry needs both parts.  Attribute values sort numbers first, by value, then
-text, in one order on every supported Python: a number is what Python 3.11's
-``Fraction()`` reads, such as ``1_0``, ``1e1`` or ``3/2``; ``1__0`` is text.
+keywords and name no declaration.  ``in`` links a state only, and is written
+back as ``on`` before a universe.  A name appears at most once in a brace set,
+a partition block included, and a ``key:value`` entry needs both parts.
+Attribute values sort numbers first, by value, then text, in one order on
+every supported Python: a number is what Python 3.11's ``Fraction()`` reads,
+such as ``1_0``, ``1e1`` or ``3/2``; ``1__0`` is text.
 A universe label or basis vector name holds none of ``{ } , | ( ) :``.
 A group's cycles name only labels of its universe, each at most once per
 generator, within a cycle or across its cycles.
@@ -282,6 +283,8 @@ def _declaration(sc: Scenario, kind: str, text: str) -> None:
         home = sc.lookup(ref, "basis|universe" if link == "in" else "universe")
         if link == "on" and kind in ("state", "map"):
             home = sc.standard_bases[ref]
+        elif link == "in" and ref in sc.universes:  # the same state as "on" it: one spelling
+            parts[2] = "on"
     pool[name], canonical = _DECLARATIONS[kind](name, home, body.strip())
     if kind == "universe":
         sc.standard_bases[name] = standard_basis(pool[name], name=name)

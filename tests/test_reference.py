@@ -3,7 +3,9 @@
 The partition lattice, dit-sets, entropy, the Born rule, measurement and
 its seeded draws: all 15 partitions, every ordered pair of them, and every
 nonempty state.  The lattice and dit-set unions again over a 5-set: all 52
-partitions, every ordered pair.  Cascades and their exact finals: every pair of
+partitions, every ordered pair; and measurement, re-measurement, the Born
+rule and the Pythagorean check on every state of the 5-set, from its standard
+basis and a triangular one.  Cascades and their exact finals: every pair of
 partition-shaped attributes whose join is discrete.  Group closure and
 orbits: every set of one or two of the 24 permutations.  GF(2) coordinates
 and basis checks: every ordered triple of distinct nonempty subsets of a
@@ -37,6 +39,7 @@ from qmsets import (
     measure_sample,
     meet,
     orbit_partition,
+    pythagoras_check,
     refines,
     standard_basis,
     standard_ket,
@@ -102,6 +105,32 @@ def test_lattice_against_the_reference_on_a_5_set():
             assert meet(P, Q) == checked[ref.meet(p, q)], (p, q)
             assert refines(P, Q) == ref.refines(p, q), (p, q)
             assert dit(P).union(dit(Q)).pairs == dits[p] | dits[q], (p, q)
+
+
+def test_measurement_against_the_reference_on_a_5_set():
+    """The benchmark measures every state of a 5-set, re-measures each collapse
+    and takes its Born distribution; each state also measured from a
+    triangular basis."""
+    labels = ("c", "e", "a", "d", "b")  # universe order is not label order
+    u5 = Universe.of(labels)
+    triangular = check_basis(u5, [labels[:i + 1] for i in range(5)], "T")
+    states = [frozenset(u for i, u in enumerate(labels) if m >> i & 1) for m in range(1, 32)]
+    kets = {s: standard_ket(u5, s) for s in states}
+    for p in ref.set_partitions(labels):
+        by_first = sorted(p, key=lambda b: min(map(labels.index, b)))
+        values = {u: str(10 - k) for k, b in enumerate(by_first) for u in b}
+        f = Attribute.from_mapping("f", u5, values)
+        P = SetPartition.from_blocks(u5, [sorted(b) for b in p])
+        for state, ket in kets.items():
+            d = measure_distribution(f, ket)
+            assert outcomes(d) == ref.measure(values, state), (p, state)
+            for o in d.outcomes:
+                (again,) = measure_distribution(f, o.collapsed).outcomes
+                assert (again.value, again.probability) == (o.value, 1), (p, state)
+                assert again.collapsed is o.collapsed, (p, state)
+            assert outcomes(born_distribution(ket)) == ref.born(state, labels), state
+            assert pythagoras_check(P, ket) == (len(state), len(state)), (p, state)
+            assert measure_distribution(f, to_basis(ket, triangular)) == d, (p, state)
 
 
 @pytest.mark.parametrize("p", PARTITIONS, ids=text)

@@ -184,6 +184,14 @@ class TestParsing:
         assert again == scenario
         assert again.serialize() == scenario.serialize()
 
+    def test_a_state_in_or_on_a_universe_has_one_canonical_text(self):
+        """Both spellings give the same ket on the same basis, so one text."""
+        ins, ons = (parse_scenario(f"universe U = a b\nstate S {link} U = {{a}}\n")
+                    for link in ("in", "on"))
+        assert ins.states == ons.states
+        assert ins.serialize() == ons.serialize()
+        assert ins.serialize().splitlines()[1] == "state S on U = {a}"
+
 
 class TestRunning:
     def test_determinism(self):
